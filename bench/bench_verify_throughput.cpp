@@ -16,12 +16,8 @@
 //                    the single-thread hot path the farm runs per worker.
 //                    Measured memo=off and memo=on (sub-path memo only, the
 //                    pre-frontier cost model), and on RAP workloads also as
-//                    the {frontier on/off} x {cold/warm-restored} ablation:
-//                    "on+frontier" adds the checkpoint-frontier memo that
-//                    skips re-searching resolved RAP ambiguities, and the
-//                    "+warm" variants start from a cache rebuilt via
-//                    serialize_warm/restore_warm (the persistent warm-start
-//                    path a restored verifier endpoint takes).
+//                    "on+frontier", which adds the checkpoint-frontier memo
+//                    that skips re-searching resolved RAP ambiguities.
 //   farm           — VerifierFarm::submit_wire at 1/2/4/8 *requested*
 //                    workers: sharded scheduling, shared deployment+memo,
 //                    batched multi-lane MACs. FarmOptions clamps requests to
@@ -47,8 +43,8 @@
 //   - every timed verification must reproduce the workload's probed verdict;
 //   - per workload, the canonical verification digest must be byte-identical
 //     memo-off vs memo-on-cold vs memo-on-warm vs frontier-on-cold vs
-//     frontier-on-warm vs warm-restored-from-snapshot (memoization may only
-//     change wall time and cache telemetry, never the verification outcome);
+//     frontier-on-warm (memoization may only change wall time and cache
+//     telemetry, never the verification outcome);
 //   - the emitted JSON must re-validate against the row schema.
 #include <algorithm>
 #include <chrono>
@@ -143,27 +139,21 @@ void check_memo_digests(const Workload& w) {
       verify_once(w, true)));
   const std::string warm = hex_digest(verify::verification_digest(
       verify_once(w, true)));
-  // Frontier tier: cold, warm, and warm-restored-from-snapshot (the exact
-  // bytes a recovered verifier endpoint would rehydrate from).
+  // Frontier tier: cold, then warm.
   w.deployment->memo().clear();
   const std::string frontier_cold = hex_digest(verify::verification_digest(
       verify_once(w, true, true)));
   const std::string frontier_warm = hex_digest(verify::verification_digest(
       verify_once(w, true, true)));
-  const std::vector<u8> snapshot = w.deployment->memo().serialize_warm();
-  w.deployment->memo().clear();
-  w.deployment->memo().restore_warm(snapshot);
-  const std::string restored = hex_digest(verify::verification_digest(
-      verify_once(w, true, true)));
   w.deployment->memo().clear();
   if (off != cold || off != warm || off != frontier_cold ||
-      off != frontier_warm || off != restored) {
+      off != frontier_warm) {
     std::fprintf(stderr,
                  "error: %s/%s/%s memoized digest diverged\n  off  %s\n"
-                 "  cold %s\n  warm %s\n  fcold %s\n  fwarm %s\n  rest %s\n",
+                 "  cold %s\n  warm %s\n  fcold %s\n  fwarm %s\n",
                  w.app.c_str(), w.method.c_str(), w.mix.c_str(), off.c_str(),
                  cold.c_str(), warm.c_str(), frontier_cold.c_str(),
-                 frontier_warm.c_str(), restored.c_str());
+                 frontier_warm.c_str());
     std::exit(1);
   }
 }
@@ -390,32 +380,19 @@ struct MemoDelta {
 /// challenge, exactly like distinct devices reporting in). Memo-on rows
 /// start from a cleared cache, so the reported hit rate is what the repeated
 /// workload itself earned. `frontier` enables the checkpoint-frontier tier
-/// on top of the sub-path memo; `warm_restart` primes the cache, snapshots
-/// it with serialize_warm, clears, and restores before the timed region —
-/// the first-session-after-recovery cost a persistent warm start pays.
+/// on top of the sub-path memo.
 Row measure_serial(const Workload& w, bool rebuild, bool memo, size_t chains,
-                   int reps, bool frontier = false, bool warm_restart = false) {
+                   int reps, bool frontier = false) {
   Row row;
   row.app = w.app;
   row.method = w.method;
   row.mix = w.mix;
   row.mode = rebuild ? "serial_rebuild" : "serial_shared";
-  row.memo = !memo ? "off"
-                   : std::string("on") + (frontier ? "+frontier" : "") +
-                         (warm_restart ? "+warm" : "");
+  row.memo = !memo ? "off" : frontier ? "on+frontier" : "on";
   row.chains = chains;
   row.reports = chains * w.reports_per_chain;
   row.wall_ns = ~0ull;
-  if (memo) {
-    w.deployment->memo().clear();
-    if (warm_restart) {
-      verify_once(w, true, frontier);
-      verify_once(w, true, frontier);
-      const std::vector<u8> snapshot = w.deployment->memo().serialize_warm();
-      w.deployment->memo().clear();
-      w.deployment->memo().restore_warm(snapshot);
-    }
-  }
+  if (memo) w.deployment->memo().clear();
   const MemoDelta delta(w);
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -615,10 +592,7 @@ bool validate(const std::string& text, size_t expected_rows,
     }
     if (row.find("\"memo\": \"on\"") == std::string::npos &&
         row.find("\"memo\": \"off\"") == std::string::npos &&
-        row.find("\"memo\": \"on+frontier\"") == std::string::npos &&
-        row.find("\"memo\": \"on+warm\"") == std::string::npos &&
-        row.find("\"memo\": \"on+frontier+warm\"") == std::string::npos &&
-        row.find("\"memo\": \"on+frontier+noguard\"") == std::string::npos) {
+        row.find("\"memo\": \"on+frontier\"") == std::string::npos) {
       error = "row " + std::to_string(rows) + " has an unknown memo state";
       return false;
     }
@@ -695,54 +669,19 @@ int main(int argc, char** argv) {
     all.push_back(std::move(shared_off));
     all.push_back(std::move(shared_on));
 
-    // Frontier ablation, RAP only (naive/traces replay has no RAP-ambiguous
-    // checkpoints, so the frontier tier would be a no-op there):
-    // {frontier on/off} x {cold/warm-restored}, all against the "on" row
-    // above as the sub-path-memo-only baseline.
+    // Frontier tier, RAP only (naive/traces replay has no RAP-ambiguous
+    // checkpoints, so the frontier tier would be a no-op there), against the
+    // "on" row above as the sub-path-memo-only baseline.
     if (w.method == "rap") {
-      Row on_warm = measure_serial(w, /*rebuild=*/false, /*memo=*/true,
-                                   chains, reps, /*frontier=*/false,
-                                   /*warm_restart=*/true);
       Row frontier_cold = measure_serial(w, /*rebuild=*/false, /*memo=*/true,
                                          chains, reps, /*frontier=*/true);
-      Row frontier_warm = measure_serial(w, /*rebuild=*/false, /*memo=*/true,
-                                         chains, reps, /*frontier=*/true,
-                                         /*warm_restart=*/true);
       std::printf("%-12s %-7s %-9s frontier cold %9.0f chains/s (%.2fx vs "
-                  "memo, hit %.2f)   warm %9.0f chains/s (%.2fx, hit %.2f, "
-                  "seg %.2f)\n",
+                  "memo, hit %.2f, seg %.2f)\n",
                   w.app.c_str(), w.method.c_str(), w.mix.c_str(),
                   frontier_cold.chains_per_s,
                   frontier_cold.reports_per_s / shared_on_rate,
-                  frontier_cold.memo_hit_rate, frontier_warm.chains_per_s,
-                  frontier_warm.reports_per_s / shared_on_rate,
-                  frontier_warm.memo_hit_rate,
-                  frontier_warm.segment_hit_rate);
-      all.push_back(std::move(on_warm));
-      const double frontier_rate = frontier_cold.reports_per_s;
+                  frontier_cold.memo_hit_rate, frontier_cold.segment_hit_rate);
       all.push_back(std::move(frontier_cold));
-      all.push_back(std::move(frontier_warm));
-
-      // Guarded-segments ablation: the same chain against a deployment whose
-      // memo runs the PR-7 abort-on-ambiguity rule (guarded_segments off).
-      // Shows what the §14 segment tier contributes on top of the frontier
-      // memo — on checkpoint-dense chains its hit rate collapses to ~0 here.
-      Workload noguard = w;
-      noguard.deployment = Deployment::rap(
-          w.deployment->program(), *w.deployment->rap_manifest(),
-          w.deployment->entry(),
-          verify::MemoOptions{.guarded_segments = false});
-      Row frontier_noguard = measure_serial(noguard, /*rebuild=*/false,
-                                            /*memo=*/true, chains, reps,
-                                            /*frontier=*/true);
-      frontier_noguard.memo = "on+frontier+noguard";
-      std::printf("%-12s %-7s %-9s noguard       %9.0f chains/s (%.2fx vs "
-                  "guarded, seg %.2f)\n",
-                  w.app.c_str(), w.method.c_str(), w.mix.c_str(),
-                  frontier_noguard.chains_per_s,
-                  frontier_noguard.reports_per_s / frontier_rate,
-                  frontier_noguard.segment_hit_rate);
-      all.push_back(std::move(frontier_noguard));
     }
 
     double w1_rate = 0.0;

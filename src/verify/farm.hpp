@@ -123,8 +123,8 @@ class VerifierFarm {
   size_t worker_count() const { return workers_.size(); }
   SessionStore& sessions() { return sessions_; }
   /// The distinct deployments currently provisioned (deduplicated across
-  /// devices sharing one image, ordered by expected H_MEM so snapshots are
-  /// deterministic). The endpoint's warm-cache snapshot walks these.
+  /// devices sharing one image, ordered by expected H_MEM so the listing
+  /// is deterministic), e.g. to sum memo-cache statistics over a fleet.
   std::vector<std::shared_ptr<const Deployment>> deployments() const;
   /// The RoT key schedule, shared with trusted delivery-layer components
   /// (the VerifierEndpoint MAC-checks datagrams at the door with it).
@@ -163,9 +163,6 @@ class VerifierFarm {
   };
 
   std::future<VerificationResult> enqueue(DeviceId device, Job job);
-  /// Re-touch `device`'s tagged warm-cache entries (cross-session prefetch;
-  /// called on challenge issue/adopt, when a verification is imminent).
-  void prefetch_for(DeviceId device);
   VerificationResult execute(DeviceId device, const DeviceState& state,
                              Job& job, bool* forgery);
   /// One breaker transition under mu_: a forgery strike or a clean result.

@@ -1,9 +1,7 @@
 #include "verify/memo.hpp"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/crc32.hpp"
 #include "obs/metrics.hpp"
 
 namespace raptrack::verify {
@@ -38,10 +36,6 @@ struct MemoObsMetrics {
       obs::registry().counter("verify.memo.frontier.misses");
   obs::Counter frontier_inserts =
       obs::registry().counter("verify.memo.frontier.inserts");
-  obs::Counter prefetch_hits =
-      obs::registry().counter("verify.memo.prefetch.hits");
-  obs::Counter prefetch_warmed =
-      obs::registry().counter("verify.memo.prefetch.warmed");
   /// A live chain-fingerprint entry was displaced by a different key (its
   /// set was full). Fleet-sized runs watch this to size kChainFpSets.
   obs::Counter fingerprint_evicted =
@@ -52,261 +46,6 @@ struct MemoObsMetrics {
     return metrics;
   }
 };
-
-/// Caps for the cross-session prefetch tag table: keys per tier per device,
-/// and tagged devices overall (oldest tag evicted beyond that).
-constexpr size_t kMaxPrefetchKeys = 256;
-constexpr size_t kMaxPrefetchDevices = 1024;
-
-// ---- MEM1 warm-start codec helpers ----------------------------------------
-
-constexpr std::array<u8, 4> kMemMagic = {'M', 'E', 'M', '1'};
-/// v2 appended the per-segment guard list (frontier-guarded recording). v1
-/// blobs are rejected wholesale — a cold start, never a stale-guard splice.
-constexpr u32 kMemVersion = 2;
-
-void put_u8(std::vector<u8>& out, u8 v) { out.push_back(v); }
-
-void put_u32(std::vector<u8>& out, u32 v) {
-  out.push_back(static_cast<u8>(v));
-  out.push_back(static_cast<u8>(v >> 8));
-  out.push_back(static_cast<u8>(v >> 16));
-  out.push_back(static_cast<u8>(v >> 24));
-}
-
-void put_u64(std::vector<u8>& out, u64 v) {
-  put_u32(out, static_cast<u32>(v));
-  put_u32(out, static_cast<u32>(v >> 32));
-}
-
-/// Bounds-checked little-endian reader; any out-of-range read latches
-/// `ok = false` and returns zeros, so parse code can read linearly and check
-/// once at the end.
-struct MemReader {
-  std::span<const u8> data;
-  size_t pos = 0;
-  bool ok = true;
-
-  u8 u8_value() {
-    if (pos + 1 > data.size()) { ok = false; return 0; }
-    return data[pos++];
-  }
-  u32 u32_value() {
-    if (pos + 4 > data.size()) { ok = false; return 0; }
-    u32 v = static_cast<u32>(data[pos]) | (static_cast<u32>(data[pos + 1]) << 8) |
-            (static_cast<u32>(data[pos + 2]) << 16) |
-            (static_cast<u32>(data[pos + 3]) << 24);
-    pos += 4;
-    return v;
-  }
-  u64 u64_value() {
-    const u64 lo = u32_value();
-    const u64 hi = u32_value();
-    return lo | (hi << 32);
-  }
-  /// Would `count` elements of `elem_bytes` each still fit? Guards vector
-  /// reserves against forged counts before element-wise reads run.
-  bool fits(u64 count, size_t elem_bytes) {
-    if (!ok) return false;
-    const u64 remaining = data.size() - pos;
-    if (count > remaining / (elem_bytes == 0 ? 1 : elem_bytes)) ok = false;
-    return ok;
-  }
-  bool done() const { return ok && pos == data.size(); }
-};
-
-void put_valuation(std::vector<u8>& out, const MemoValuation& val) {
-  for (const u32 reg : val.regs) put_u32(out, reg);
-  put_u32(out, val.known);
-  put_u32(out, val.flags);
-}
-
-MemoValuation read_valuation(MemReader& r) {
-  MemoValuation val;
-  for (u32& reg : val.regs) reg = r.u32_value();
-  val.known = static_cast<u16>(r.u32_value());
-  val.flags = static_cast<u8>(r.u32_value());
-  return val;
-}
-
-void put_packet(std::vector<u8>& out, const trace::BranchPacket& pkt) {
-  put_u32(out, pkt.source_word());
-  put_u32(out, pkt.destination_word());
-}
-
-trace::BranchPacket read_packet(MemReader& r) {
-  const u32 src = r.u32_value();
-  const u32 dst = r.u32_value();
-  return trace::BranchPacket::from_words(src, dst);
-}
-
-void put_segment(std::vector<u8>& out, const MemoSegment& seg) {
-  put_u32(out, seg.entry_pc);
-  put_valuation(out, seg.entry_val);
-  put_u64(out, seg.policy_hash);
-  put_u32(out, static_cast<u32>(seg.popped.size()));
-  for (const Address a : seg.popped) put_u32(out, a);
-  put_u32(out, static_cast<u32>(seg.packets.size()));
-  for (const auto& pkt : seg.packets) put_packet(out, pkt);
-  put_u32(out, static_cast<u32>(seg.loop_values.size()));
-  for (const u32 v : seg.loop_values) put_u32(out, v);
-  put_u32(out, static_cast<u32>(seg.direction_bits.size()));
-  out.insert(out.end(), seg.direction_bits.begin(), seg.direction_bits.end());
-  put_u32(out, static_cast<u32>(seg.indirect_targets.size()));
-  for (const Address a : seg.indirect_targets) put_u32(out, a);
-  put_u8(out, seg.peeked_next ? 1 : 0);
-  put_packet(out, seg.peeked);
-  put_u8(out, seg.eos_observed ? 1 : 0);
-  put_u8(out, seg.halted ? 1 : 0);
-  put_u32(out, seg.exit_pc);
-  put_valuation(out, seg.exit_val);
-  put_u32(out, static_cast<u32>(seg.pushed.size()));
-  for (const Address a : seg.pushed) put_u32(out, a);
-  put_u32(out, static_cast<u32>(seg.events.size()));
-  for (const auto& ev : seg.events) {
-    put_u32(out, ev.source);
-    put_u32(out, ev.destination);
-    put_u8(out, static_cast<u8>(ev.kind));
-  }
-  put_u64(out, seg.steps);
-  put_u64(out, seg.index_hits);
-  put_u64(out, seg.index_fallbacks);
-  put_u32(out, static_cast<u32>(seg.guards.size()));
-  for (const SegmentGuard& g : seg.guards) {
-    put_u32(out, g.pc);
-    put_valuation(out, g.val);
-    put_u32(out, g.d_packets);
-    put_u32(out, g.d_loops);
-    put_u32(out, g.d_bits);
-    put_u32(out, g.d_targets);
-    put_u32(out, g.pops);
-    put_u32(out, static_cast<u32>(g.suffix.size()));
-    for (const Address a : g.suffix) put_u32(out, a);
-    put_u8(out, g.decision ? 1 : 0);
-    put_u8(out, g.failed_mask);
-    put_u64(out, g.steps_delta);
-  }
-}
-
-/// Minimum serialized footprint of one guard (empty suffix): pc + valuation
-/// + four deltas + pops + suffix count + decision/failed_mask + steps_delta.
-constexpr size_t kGuardMinBytes = 4 + (16 * 4 + 4 + 4) + 4 * 4 + 4 + 4 + 2 + 8;
-
-MemoSegment read_segment(MemReader& r) {
-  MemoSegment seg;
-  seg.entry_pc = r.u32_value();
-  seg.entry_val = read_valuation(r);
-  seg.policy_hash = r.u64_value();
-  u32 n = r.u32_value();
-  if (r.fits(n, 4)) {
-    seg.popped.reserve(n);
-    for (u32 i = 0; i < n; ++i) seg.popped.push_back(r.u32_value());
-  }
-  n = r.u32_value();
-  if (r.fits(n, 8)) {
-    seg.packets.reserve(n);
-    for (u32 i = 0; i < n; ++i) seg.packets.push_back(read_packet(r));
-  }
-  n = r.u32_value();
-  if (r.fits(n, 4)) {
-    seg.loop_values.reserve(n);
-    for (u32 i = 0; i < n; ++i) seg.loop_values.push_back(r.u32_value());
-  }
-  n = r.u32_value();
-  if (r.fits(n, 1)) {
-    seg.direction_bits.reserve(n);
-    for (u32 i = 0; i < n; ++i) seg.direction_bits.push_back(r.u8_value());
-  }
-  n = r.u32_value();
-  if (r.fits(n, 4)) {
-    seg.indirect_targets.reserve(n);
-    for (u32 i = 0; i < n; ++i) seg.indirect_targets.push_back(r.u32_value());
-  }
-  seg.peeked_next = r.u8_value() != 0;
-  seg.peeked = read_packet(r);
-  seg.eos_observed = r.u8_value() != 0;
-  seg.halted = r.u8_value() != 0;
-  seg.exit_pc = r.u32_value();
-  seg.exit_val = read_valuation(r);
-  n = r.u32_value();
-  if (r.fits(n, 4)) {
-    seg.pushed.reserve(n);
-    for (u32 i = 0; i < n; ++i) seg.pushed.push_back(r.u32_value());
-  }
-  n = r.u32_value();
-  if (r.fits(n, 9)) {
-    seg.events.reserve(n);
-    for (u32 i = 0; i < n; ++i) {
-      trace::OracleEvent ev;
-      ev.source = r.u32_value();
-      ev.destination = r.u32_value();
-      ev.kind = static_cast<isa::BranchKind>(r.u8_value());
-      seg.events.push_back(ev);
-    }
-  }
-  seg.steps = r.u64_value();
-  seg.index_hits = r.u64_value();
-  seg.index_fallbacks = r.u64_value();
-  n = r.u32_value();
-  if (r.fits(n, kGuardMinBytes)) {
-    seg.guards.reserve(n);
-    for (u32 i = 0; i < n && r.ok; ++i) {
-      SegmentGuard g;
-      g.pc = r.u32_value();
-      g.val = read_valuation(r);
-      g.d_packets = r.u32_value();
-      g.d_loops = r.u32_value();
-      g.d_bits = r.u32_value();
-      g.d_targets = r.u32_value();
-      g.pops = r.u32_value();
-      const u32 ns = r.u32_value();
-      if (!r.fits(ns, 4)) break;
-      g.suffix.reserve(ns);
-      for (u32 j = 0; j < ns; ++j) g.suffix.push_back(r.u32_value());
-      g.decision = r.u8_value() != 0;
-      g.failed_mask = r.u8_value();
-      g.steps_delta = r.u64_value();
-      seg.guards.push_back(std::move(g));
-    }
-  }
-  return seg;
-}
-
-void put_frontier(std::vector<u8>& out, const FrontierEntry& e) {
-  put_u32(out, e.pc);
-  put_valuation(out, e.val);
-  put_u64(out, e.policy_hash);
-  put_u8(out, e.strict ? 1 : 0);
-  put_u64(out, e.stack_hash);
-  put_u64(out, e.evidence_fp);
-  put_u32(out, e.packet_rem);
-  put_u32(out, e.loop_rem);
-  put_u32(out, e.bit_rem);
-  put_u32(out, e.target_rem);
-  put_u8(out, e.failed_mask);
-  put_u8(out, e.has_decision ? 1 : 0);
-  put_u8(out, e.decision ? 1 : 0);
-  put_u64(out, e.steps_to_complete);
-}
-
-FrontierEntry read_frontier(MemReader& r) {
-  FrontierEntry e;
-  e.pc = r.u32_value();
-  e.val = read_valuation(r);
-  e.policy_hash = r.u64_value();
-  e.strict = r.u8_value() != 0;
-  e.stack_hash = r.u64_value();
-  e.evidence_fp = r.u64_value();
-  e.packet_rem = r.u32_value();
-  e.loop_rem = r.u32_value();
-  e.bit_rem = r.u32_value();
-  e.target_rem = r.u32_value();
-  e.failed_mask = r.u8_value();
-  e.has_decision = r.u8_value() != 0;
-  e.decision = r.u8_value() != 0;
-  e.steps_to_complete = r.u64_value();
-  return e;
-}
 
 }  // namespace
 
@@ -398,7 +137,6 @@ size_t MemoCache::lookup(u64 key, Handle* out, size_t max) const {
     Slot& slot = shard.slots[(base + i) % shard.slots.size()];
     if (slot.segment != nullptr && slot.key == key) {
       slot.tick = ++shard.tick;  // touch for window-local LRU
-      ++slot.hits;               // MEM1 top-K ranking
       out[found++] = slot.segment;
     }
   }
@@ -448,7 +186,6 @@ void MemoCache::insert(u64 key, Handle segment) {
     dest->key = key;
     dest->segment = std::move(segment);
     dest->tick = ++shard.tick;
-    if (match == nullptr) dest->hits = 0;
     shard.bytes += size;
     bytes_.fetch_add(size, std::memory_order_relaxed);
     entries_.fetch_add(1, std::memory_order_relaxed);
@@ -492,7 +229,6 @@ bool MemoCache::frontier_lookup(const FrontierEntry& guards,
       FrontierSlot& slot = shard.fslots[(base + i) % shard.fslots.size()];
       if (slot.used && slot.key == key && slot.entry.same_guards(guards)) {
         slot.tick = ++shard.ftick;
-        ++slot.hits;
         if (out != nullptr) *out = slot.entry;
         found = true;
         break;
@@ -566,7 +302,6 @@ void MemoCache::frontier_insert(const FrontierEntry& entry) {
       dest->key = key;
       dest->entry = entry;
       dest->tick = ++shard.ftick;
-      dest->hits = 0;
       dest->used = true;
       evicted += sweep_to_budget(shard, nullptr, dest);
     }
@@ -685,248 +420,17 @@ void MemoCache::chain_fp_store(u64 key, u64 fp) {
 #endif
 }
 
-size_t MemoCache::touch_key(u64 key, bool frontier) {
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mu);
-  size_t warmed = 0;
-  if (frontier) {
-    const size_t base = probe_base(key, shard.fslots.size());
-    for (size_t i = 0; i < kProbe; ++i) {
-      FrontierSlot& slot = shard.fslots[(base + i) % shard.fslots.size()];
-      if (slot.used && slot.key == key) {
-        slot.tick = ++shard.ftick;
-        ++warmed;
-      }
-    }
-  } else {
-    const size_t base = probe_base(key, shard.slots.size());
-    for (size_t i = 0; i < kProbe; ++i) {
-      Slot& slot = shard.slots[(base + i) % shard.slots.size()];
-      if (slot.segment != nullptr && slot.key == key) {
-        slot.tick = ++shard.tick;
-        ++warmed;
-      }
-    }
-  }
-  return warmed;
-}
-
-void MemoCache::note_session(u64 device, std::span<const u64> segment_keys,
-                             std::span<const u64> frontier_keys) {
-#if RAP_MEMO_ENABLED
-  if (g_memo_disabled) return;
-  if (segment_keys.empty() && frontier_keys.empty()) return;
-  const auto dedup_cap = [](std::span<const u64> keys) {
-    std::vector<u64> out;
-    out.reserve(std::min(keys.size(), kMaxPrefetchKeys));
-    for (const u64 key : keys) {
-      if (out.size() >= kMaxPrefetchKeys) break;
-      if (std::find(out.begin(), out.end(), key) == out.end()) {
-        out.push_back(key);
-      }
-    }
-    return out;
-  };
-  std::lock_guard lock(device_mu_);
-  if (device_tags_.size() >= kMaxPrefetchDevices &&
-      device_tags_.find(device) == device_tags_.end()) {
-    // Evict the stalest tag set (smallest stamp) to stay bounded.
-    auto oldest = device_tags_.begin();
-    for (auto it = device_tags_.begin(); it != device_tags_.end(); ++it) {
-      if (it->second.stamp < oldest->second.stamp) oldest = it;
-    }
-    device_tags_.erase(oldest);
-  }
-  DeviceTags& tags = device_tags_[device];
-  tags.segment_keys = dedup_cap(segment_keys);
-  tags.frontier_keys = dedup_cap(frontier_keys);
-  tags.stamp = ++device_stamp_;
-#else
-  (void)device;
-  (void)segment_keys;
-  (void)frontier_keys;
-#endif
-}
-
-size_t MemoCache::prefetch(u64 device) {
-#if RAP_MEMO_ENABLED
-  if (g_memo_disabled) return 0;
-  std::vector<u64> seg_keys;
-  std::vector<u64> frontier_keys;
-  {
-    std::lock_guard lock(device_mu_);
-    const auto it = device_tags_.find(device);
-    if (it == device_tags_.end()) return 0;
-    seg_keys = it->second.segment_keys;
-    frontier_keys = it->second.frontier_keys;
-  }
-  size_t warmed = 0;
-  for (const u64 key : seg_keys) warmed += touch_key(key, /*frontier=*/false);
-  for (const u64 key : frontier_keys) warmed += touch_key(key, /*frontier=*/true);
-  if (warmed > 0) {
-    prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-    prefetch_warmed_.fetch_add(warmed, std::memory_order_relaxed);
-    if constexpr (obs::kEnabled) {
-      auto& metrics = MemoObsMetrics::get();
-      metrics.prefetch_hits.inc();
-      metrics.prefetch_warmed.inc(warmed);
-    }
-  }
-  return warmed;
-#else
-  (void)device;
-  return 0;
-#endif
-}
-
-std::vector<u8> MemoCache::serialize_warm() const {
-  std::vector<u8> out;
-  out.insert(out.end(), kMemMagic.begin(), kMemMagic.end());
-  put_u32(out, kMemVersion);
-
-  // Rank each tier by lifetime hit count (tie: most recently touched) and
-  // serialize the top-K — the entries a restarted verifier will want first.
-  struct SegRank {
-    u64 hits = 0;
-    u64 tick = 0;
-    u64 key = 0;
-    Handle segment;
-  };
-  struct FrontRank {
-    u64 hits = 0;
-    u64 tick = 0;
-    FrontierEntry entry;
-  };
-  std::vector<SegRank> segments;
-  std::vector<FrontRank> frontier;
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    for (const Slot& slot : shard.slots) {
-      if (slot.segment != nullptr) {
-        segments.push_back({slot.hits, slot.tick, slot.key, slot.segment});
-      }
-    }
-    for (const FrontierSlot& slot : shard.fslots) {
-      if (slot.used) frontier.push_back({slot.hits, slot.tick, slot.entry});
-    }
-  }
-  const auto rank = [](const auto& a, const auto& b) {
-    return a.hits != b.hits ? a.hits > b.hits : a.tick > b.tick;
-  };
-  std::sort(segments.begin(), segments.end(), rank);
-  std::sort(frontier.begin(), frontier.end(), rank);
-  const size_t top_k = options_.snapshot_top_k;
-  if (segments.size() > top_k) segments.resize(top_k);
-  if (frontier.size() > top_k) frontier.resize(top_k);
-
-  put_u32(out, static_cast<u32>(segments.size()));
-  for (const SegRank& s : segments) {
-    put_u64(out, s.key);
-    put_segment(out, *s.segment);
-  }
-  put_u32(out, static_cast<u32>(frontier.size()));
-  for (const FrontRank& f : frontier) put_frontier(out, f.entry);
-
-  {
-    std::lock_guard lock(device_mu_);
-    put_u32(out, static_cast<u32>(device_tags_.size()));
-    for (const auto& [device, tags] : device_tags_) {
-      put_u64(out, device);
-      put_u32(out, static_cast<u32>(tags.segment_keys.size()));
-      for (const u64 key : tags.segment_keys) put_u64(out, key);
-      put_u32(out, static_cast<u32>(tags.frontier_keys.size()));
-      for (const u64 key : tags.frontier_keys) put_u64(out, key);
-    }
-  }
-
-  put_u32(out, crc32(out));
-  return out;
-}
-
-bool MemoCache::restore_warm(std::span<const u8> blob) {
-  // Envelope first: magic, version, and a CRC over everything before the
-  // trailer. A truncated or corrupted blob fails here and the cache stays
-  // exactly as it was — cold start, never a wrong entry.
-  if (blob.size() < kMemMagic.size() + 8) return false;
-  if (!std::equal(kMemMagic.begin(), kMemMagic.end(), blob.begin())) {
-    return false;
-  }
-  const std::span<const u8> body = blob.first(blob.size() - 4);
-  MemReader trailer{blob.subspan(blob.size() - 4)};
-  if (trailer.u32_value() != crc32(body)) return false;
-
-  MemReader r{body.subspan(kMemMagic.size())};
-  if (r.u32_value() != kMemVersion) return false;
-
-  // Parse everything into staging before touching the live tables, so a
-  // malformed body past the CRC (e.g. a forged count) cannot half-apply.
-  std::vector<std::pair<u64, MemoSegment>> segments;
-  const u32 seg_count = r.u32_value();
-  if (!r.fits(seg_count, 8)) return false;
-  segments.reserve(seg_count);
-  for (u32 i = 0; i < seg_count && r.ok; ++i) {
-    const u64 key = r.u64_value();
-    segments.emplace_back(key, read_segment(r));
-  }
-  std::vector<FrontierEntry> frontier;
-  const u32 frontier_count = r.u32_value();
-  if (!r.fits(frontier_count, 32)) return false;
-  frontier.reserve(frontier_count);
-  for (u32 i = 0; i < frontier_count && r.ok; ++i) {
-    frontier.push_back(read_frontier(r));
-  }
-  struct StagedTags {
-    u64 device = 0;
-    std::vector<u64> segment_keys;
-    std::vector<u64> frontier_keys;
-  };
-  std::vector<StagedTags> tags;
-  const u32 device_count = r.u32_value();
-  if (!r.fits(device_count, 8)) return false;
-  tags.reserve(device_count);
-  for (u32 i = 0; i < device_count && r.ok; ++i) {
-    StagedTags t;
-    t.device = r.u64_value();
-    const u32 ns = r.u32_value();
-    if (!r.fits(ns, 8)) return false;
-    t.segment_keys.reserve(ns);
-    for (u32 j = 0; j < ns; ++j) t.segment_keys.push_back(r.u64_value());
-    const u32 nf = r.u32_value();
-    if (!r.fits(nf, 8)) return false;
-    t.frontier_keys.reserve(nf);
-    for (u32 j = 0; j < nf; ++j) t.frontier_keys.push_back(r.u64_value());
-    tags.push_back(std::move(t));
-  }
-  if (!r.done()) return false;
-
-  // Commit. Serialization order was hottest-first; insert in reverse so the
-  // hottest entries carry the freshest ticks and survive any LRU contention.
-  for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
-    insert(it->first,
-           std::make_shared<const MemoSegment>(std::move(it->second)));
-  }
-  for (auto it = frontier.rbegin(); it != frontier.rend(); ++it) {
-    frontier_insert(*it);
-  }
-  for (const StagedTags& t : tags) {
-    note_session(t.device, t.segment_keys, t.frontier_keys);
-  }
-  return true;
-}
-
 void MemoCache::clear() {
   for (Shard& shard : shards_) {
     std::lock_guard lock(shard.mu);
     for (Slot& slot : shard.slots) {
       slot.key = 0;
       slot.tick = 0;
-      slot.hits = 0;
       slot.segment.reset();
     }
     for (FrontierSlot& slot : shard.fslots) {
       slot.key = 0;
       slot.tick = 0;
-      slot.hits = 0;
       slot.used = false;
       slot.entry = FrontierEntry{};
     }
@@ -936,11 +440,6 @@ void MemoCache::clear() {
     shard.ftick = 0;
     shard.sweep_hand = 0;
     shard.fsweep_hand = 0;
-  }
-  {
-    std::lock_guard lock(device_mu_);
-    device_tags_.clear();
-    device_stamp_ = 0;
   }
   {
     std::lock_guard lock(chain_fp_mu_);
@@ -957,8 +456,6 @@ void MemoCache::clear() {
   frontier_misses_.store(0, std::memory_order_relaxed);
   frontier_inserts_.store(0, std::memory_order_relaxed);
   frontier_entries_.store(0, std::memory_order_relaxed);
-  prefetch_hits_.store(0, std::memory_order_relaxed);
-  prefetch_warmed_.store(0, std::memory_order_relaxed);
 }
 
 MemoStats MemoCache::stats() const {
@@ -974,8 +471,6 @@ MemoStats MemoCache::stats() const {
   stats.frontier_misses = frontier_misses_.load(std::memory_order_relaxed);
   stats.frontier_inserts = frontier_inserts_.load(std::memory_order_relaxed);
   stats.frontier_entries = frontier_entries_.load(std::memory_order_relaxed);
-  stats.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  stats.prefetch_warmed = prefetch_warmed_.load(std::memory_order_relaxed);
   return stats;
 }
 

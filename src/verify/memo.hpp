@@ -42,8 +42,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -205,9 +203,6 @@ struct MemoOptions {
   /// (~200 B), so the default table costs ~800 KiB per shard fully loaded —
   /// still charged against `budget_bytes`, with its own eviction clock.
   size_t frontier_slots_per_shard = 4096;
-  /// Entries (per tier, by hit count) serialized into a MEM1 warm-start
-  /// section. Bounds snapshot size; 0 disables the section payload.
-  size_t snapshot_top_k = 4096;
   /// Byte budget across the whole cache (split evenly over shards).
   /// Entries larger than one shard's budget are rejected outright.
   size_t budget_bytes = size_t{48} << 20;
@@ -225,13 +220,6 @@ struct MemoOptions {
   /// every opportunity); the differential tests use that to force dense
   /// cache traffic on RAP chains.
   u32 anchor_backoff_cap = 512;
-  /// Frontier-aware segment recording: when a RAP-ambiguous site resolves
-  /// through a frontier decision hit, the in-flight recording absorbs the
-  /// decision as a SegmentGuard and keeps going instead of aborting. Off
-  /// restores the PR-7 rule (any ambiguity aborts recording) — the §14 tier
-  /// then stays dead on checkpoint-dense chains. Ablation switch; results
-  /// are bit-identical either way.
-  bool guarded_segments = true;
 };
 
 /// Point-in-time cache statistics (relaxed-atomic reads; exact only when
@@ -249,9 +237,6 @@ struct MemoStats {
   u64 frontier_misses = 0;    ///< frontier lookups that found nothing
   u64 frontier_inserts = 0;   ///< frontier entries stored or merged
   u64 frontier_entries = 0;   ///< current resident frontier entries
-
-  u64 prefetch_hits = 0;      ///< prefetch calls that found >=1 resident entry
-  u64 prefetch_warmed = 0;    ///< entries re-touched resident by prefetch
 
   double hit_rate() const {
     const u64 total = hits + misses;
@@ -315,32 +300,6 @@ class MemoCache {
   bool chain_fp_lookup(u64 key, u64* fp) const;
   void chain_fp_store(u64 key, u64 fp);
 
-  // -- cross-session prefetch -----------------------------------------------
-
-  /// Tag `device` with the cache keys its just-completed session touched.
-  /// Later prefetch(device) re-touches them so tick-LRU keeps them resident
-  /// across other devices' traffic. Key lists are deduplicated and capped;
-  /// the device table itself is capped with oldest-tag eviction.
-  void note_session(u64 device, std::span<const u64> segment_keys,
-                    std::span<const u64> frontier_keys);
-
-  /// Pre-touch the entries tagged for `device` (both tiers). Returns the
-  /// number of still-resident entries warmed. Obs counters
-  /// verify.memo.prefetch.{hits,warmed}.
-  size_t prefetch(u64 device);
-
-  // -- persistent warm start (MEM1) -----------------------------------------
-
-  /// Serialize the top-K entries of each tier (by hit count) plus the device
-  /// prefetch tags into a standalone, versioned, CRC-protected MEM1 blob.
-  std::vector<u8> serialize_warm() const;
-
-  /// Restore a MEM1 blob produced by serialize_warm. All-or-nothing: returns
-  /// false (cache untouched — cold, never wrong) on any malformation,
-  /// truncation, or checksum mismatch. On success the restored entries are
-  /// inserted hot, as if just recorded.
-  bool restore_warm(std::span<const u8> blob);
-
   /// Drop every entry and reset statistics (bench/test isolation).
   void clear();
 
@@ -356,13 +315,11 @@ class MemoCache {
   struct Slot {
     u64 key = 0;
     u64 tick = 0;  ///< last touch (shard-local logical clock)
-    u64 hits = 0;  ///< lifetime candidate returns (MEM1 top-K ranking)
     Handle segment;
   };
   struct FrontierSlot {
     u64 key = 0;
     u64 tick = 0;  ///< frontier-local eviction clock
-    u64 hits = 0;
     bool used = false;
     FrontierEntry entry;
   };
@@ -384,16 +341,8 @@ class MemoCache {
     size_t sweep_hand = 0;
     size_t fsweep_hand = 0;
   };
-  /// Per-device prefetch tags from the most recent completed session.
-  struct DeviceTags {
-    std::vector<u64> segment_keys;
-    std::vector<u64> frontier_keys;
-    u64 stamp = 0;  ///< insertion order, for oldest-tag eviction
-  };
 
   Shard& shard_for(u64 key) const { return shards_[key & shard_mask_]; }
-  /// Touch a key in both tiers of its shard; returns entries found resident.
-  size_t touch_key(u64 key, bool frontier);
   /// Clock-sweep `shard` down to the byte budget without evicting the
   /// protected fresh entry (`keep_slot`/`keep_fslot`). Sweeps the segment
   /// tier, then the frontier tier; each scan is bounded by its slot count,
@@ -407,10 +356,6 @@ class MemoCache {
   size_t shard_mask_ = 0;
   size_t shard_budget_ = 0;
   mutable std::vector<Shard> shards_;
-
-  mutable std::mutex device_mu_;
-  std::unordered_map<u64, DeviceTags> device_tags_;
-  u64 device_stamp_ = 0;
 
   /// Set-associative whole-chain fingerprint cache (chain_fp_lookup/store):
   /// kChainFpSets sets x kChainFpWays ways with per-slot LRU ticks, laid
@@ -441,8 +386,6 @@ class MemoCache {
   mutable std::atomic<u64> frontier_misses_{0};
   std::atomic<u64> frontier_inserts_{0};
   std::atomic<u64> frontier_entries_{0};
-  std::atomic<u64> prefetch_hits_{0};
-  std::atomic<u64> prefetch_warmed_{0};
 };
 
 }  // namespace raptrack::verify

@@ -353,8 +353,6 @@ class ReplayEngine {
                const std::vector<trace::OracleEvent>* script = nullptr,
                bool strict = false, MemoCache* memo = nullptr,
                bool use_frontier = true,
-               std::vector<u64>* touched_segments = nullptr,
-               std::vector<u64>* touched_frontier = nullptr,
                bool* chain_fp_valid = nullptr, u64* chain_fp_slot = nullptr)
       : index_(index),
         mode_(mode),
@@ -365,8 +363,6 @@ class ReplayEngine {
         strict_(strict),
         memo_(script == nullptr ? memo : nullptr),
         use_frontier_(use_frontier),
-        touched_segments_(touched_segments),
-        touched_frontier_(touched_frontier),
         chain_fp_valid_(chain_fp_valid),
         chain_fp_slot_(chain_fp_slot) {
     pc_ = entry;
@@ -523,8 +519,6 @@ class ReplayEngine {
   };
 
   bool use_frontier_ = false;
-  std::vector<u64>* touched_segments_ = nullptr;
-  std::vector<u64>* touched_frontier_ = nullptr;
   /// A frontier decision hit was taken: exploration after it is not
   /// exhaustive under a (vanishingly unlikely) fingerprint collision, so
   /// failure promotion stops for the rest of this engine.
@@ -657,9 +651,6 @@ class ReplayEngine {
       entry.guards.failed_mask = 0;
       entry.guards.steps_to_complete = result_.steps - entry.steps_at;
       memo_->frontier_insert(entry.guards);
-      if (touched_frontier_ != nullptr) {
-        touched_frontier_->push_back(entry.guards.key_hash());
-      }
     }
   }
 
@@ -878,9 +869,6 @@ class ReplayEngine {
       FrontierEntry promo = frontier_guards();
       promo.failed_mask = failed_decision ? u8{2} : u8{1};
       memo_->frontier_insert(promo);
-      if (touched_frontier_ != nullptr) {
-        touched_frontier_->push_back(promo.key_hash());
-      }
     }
     // Search pressure exists on this chain: keep (or resume) consulting the
     // frontier for the rest of the engine regardless of the futility gate.
@@ -974,35 +962,13 @@ class ReplayEngine {
                 memo_resume_step_ = 0;
                 journal_.push_back({guards, known.decision, result_.steps,
                                     /*from_hit=*/true});
-                if (touched_frontier_ != nullptr) {
-                  touched_frontier_->push_back(guards.key_hash());
-                }
+                // Absorb the decided branch: the segment stays valid only
+                // while an equivalent frontier entry still covers this exact
+                // state (re-validated at splice time), so record the guard
+                // instead of aborting.
                 if (rec_.active) {
-                  if (memo_->options().guarded_segments) {
-                    // Absorb the decided branch: the segment stays valid
-                    // only while an equivalent frontier entry still covers
-                    // this exact state (re-validated at splice time), so
-                    // record the guard instead of aborting.
-                    SegmentGuard g;
-                    g.pc = pc_;
-                    g.val = guards.val;
-                    g.d_packets =
-                        static_cast<u32>(packet_cursor_ - rec_.entry_packets);
-                    g.d_loops =
-                        static_cast<u32>(loop_cursor_ - rec_.entry_loops);
-                    g.d_bits = static_cast<u32>(bit_cursor_ - rec_.entry_bits);
-                    g.d_targets =
-                        static_cast<u32>(target_cursor_ - rec_.entry_targets);
-                    g.pops = static_cast<u32>(rec_.popped.size());
-                    g.suffix.assign(shadow_stack_.begin() + rec_.min_stack,
-                                    shadow_stack_.end());
-                    g.decision = known.decision;
-                    g.failed_mask = known.failed_mask;
-                    g.steps_delta = result_.steps - rec_.entry_steps;
-                    rec_.guards.push_back(std::move(g));
-                  } else {
-                    rec_.active = false;
-                  }
+                  rec_.guards.push_back(segment_guard(
+                      guards.val, known.decision, known.failed_mask));
                 }
                 return known.decision;
               }
@@ -1045,28 +1011,13 @@ class ReplayEngine {
           // stored segment is merely unspliceable — never wrong. The
           // checkpoint itself still aborts recording across save/restore
           // (save_checkpoint clears rec_.active; re-arm after).
-          const bool record_guard = rec_.active && have_guards &&
-                                    memo_->options().guarded_segments;
+          const bool record_guard = rec_.active && have_guards;
           SegmentGuard commit_guard;
           if (record_guard) {
-            commit_guard.pc = pc_;
-            commit_guard.val = guards.val;
-            commit_guard.d_packets =
-                static_cast<u32>(packet_cursor_ - rec_.entry_packets);
-            commit_guard.d_loops =
-                static_cast<u32>(loop_cursor_ - rec_.entry_loops);
-            commit_guard.d_bits =
-                static_cast<u32>(bit_cursor_ - rec_.entry_bits);
-            commit_guard.d_targets =
-                static_cast<u32>(target_cursor_ - rec_.entry_targets);
-            commit_guard.pops = static_cast<u32>(rec_.popped.size());
-            commit_guard.suffix.assign(shadow_stack_.begin() + rec_.min_stack,
-                                       shadow_stack_.end());
-            commit_guard.decision = logged_direction;
             // No dead branch was proven at commit time; splice only needs
             // an entry that (at least) recorded this decision.
-            commit_guard.failed_mask = 0;
-            commit_guard.steps_delta = result_.steps - rec_.entry_steps;
+            commit_guard = segment_guard(guards.val, logged_direction,
+                                         /*failed_mask=*/0);
           }
           rec_.active = false;
           if (!alt_failed) save_checkpoint(/*alternative=*/!logged_direction);
@@ -1184,6 +1135,26 @@ class ReplayEngine {
     }
   }
 
+  /// Guard for a frontier-decided site at the current state, relative to
+  /// the in-flight segment's anchor (see SegmentGuard).
+  SegmentGuard segment_guard(const MemoValuation& val, bool decision,
+                             u8 failed_mask) const {
+    SegmentGuard g;
+    g.pc = pc_;
+    g.val = val;
+    g.d_packets = static_cast<u32>(packet_cursor_ - rec_.entry_packets);
+    g.d_loops = static_cast<u32>(loop_cursor_ - rec_.entry_loops);
+    g.d_bits = static_cast<u32>(bit_cursor_ - rec_.entry_bits);
+    g.d_targets = static_cast<u32>(target_cursor_ - rec_.entry_targets);
+    g.pops = static_cast<u32>(rec_.popped.size());
+    g.suffix.assign(shadow_stack_.begin() + rec_.min_stack,
+                    shadow_stack_.end());
+    g.decision = decision;
+    g.failed_mask = failed_mask;
+    g.steps_delta = result_.steps - rec_.entry_steps;
+    return g;
+  }
+
   /// Package the stretch since the anchor into an immutable segment and
   /// store it. `halted` marks a segment that ends in the clean-halt check
   /// (exact evidence exhaustion becomes part of its guards). Returns true
@@ -1231,16 +1202,11 @@ class ReplayEngine {
     seg->guards = std::move(rec_.guards);
     const u64 key = memo_key(seg->entry_pc, seg->entry_val, policy_hash_);
     memo_->insert(key, std::move(seg));
-    if (touched_segments_ != nullptr) touched_segments_->push_back(key);
     return true;
   }
 
   /// Full entry-guard validation of a candidate against the live state.
-  /// For frontier-guarded segments, `guard_keys` (required non-null on the
-  /// splice path) collects the live frontier key of every validated guard so
-  /// the caller can tag them as touched.
-  bool memo_matches(const MemoSegment& seg, const MemoValuation& val,
-                    std::vector<u64>* guard_keys) const {
+  bool memo_matches(const MemoSegment& seg, const MemoValuation& val) const {
     if (seg.entry_pc != pc_ || seg.policy_hash != policy_hash_ ||
         !(seg.entry_val == val)) {
       return false;
@@ -1313,9 +1279,7 @@ class ReplayEngine {
     // taking the same frontier hit live, so detached retries must never
     // splice a guarded segment.
     if (!seg.guards.empty()) {
-      if (!frontier_active() || !memo_->options().guarded_segments) {
-        return false;
-      }
+      if (!frontier_active()) return false;
       const auto mix = [](u64& h, u64 v) {
         h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
       };
@@ -1357,7 +1321,6 @@ class ReplayEngine {
             max_steps_) {
           return false;
         }
-        if (guard_keys != nullptr) guard_keys->push_back(live.key_hash());
       }
     }
     return true;
@@ -1389,25 +1352,16 @@ class ReplayEngine {
     MemoCache::Handle candidates[MemoCache::kLookupWidth];
     const size_t count =
         memo_->lookup(key, candidates, MemoCache::kLookupWidth);
-    std::vector<u64> guard_keys;
     for (size_t i = 0; i < count; ++i) {
-      guard_keys.clear();
-      if (memo_matches(*candidates[i], here, &guard_keys)) {
+      if (memo_matches(*candidates[i], here)) {
         memo_apply(*candidates[i]);
         ++result_.memo_hits;
         memo_->note_hit();
-        if (touched_segments_ != nullptr) touched_segments_->push_back(key);
-        if (!candidates[i]->guards.empty()) {
-          // Splicing across frontier-guarded decisions is equivalent to
-          // taking those decision hits live: exploration beyond them is not
-          // exhaustive under a fingerprint collision, so the rerun-detached
-          // rule applies to this pass too.
-          frontier_hit_taken_ = true;
-          if (touched_frontier_ != nullptr) {
-            touched_frontier_->insert(touched_frontier_->end(),
-                                      guard_keys.begin(), guard_keys.end());
-          }
-        }
+        // Splicing across frontier-guarded decisions is equivalent to taking
+        // those decision hits live: exploration beyond them is not
+        // exhaustive under a fingerprint collision, so the rerun-detached
+        // rule applies to this pass too.
+        if (!candidates[i]->guards.empty()) frontier_hit_taken_ = true;
         return true;
       }
     }
@@ -1663,8 +1617,6 @@ ReplayResult PathReplayer::replay(const ReplayInputs& inputs, u64 max_steps) {
     local_index.emplace(*program_, mode_, rap_, traces_);
     index = &*local_index;
   }
-  touched_segment_keys_.clear();
-  touched_frontier_keys_.clear();
   // Whole-chain fingerprint amortization: a seeded value (chain_fp_lookup
   // hit for this exact chain) survives into this call; otherwise any stale
   // value from a previous chain is invalidated and the first engine that
@@ -1683,13 +1635,11 @@ ReplayResult PathReplayer::replay(const ReplayInputs& inputs, u64 max_steps) {
   const auto run_pass = [&](bool strict) {
     ReplayEngine engine(*index, entry_, mode_, policy_, inputs, max_steps,
                         nullptr, strict, memo_, use_frontier_,
-                        &touched_segment_keys_, &touched_frontier_keys_,
                         &chain_fp_valid_, &chain_fp_);
     ReplayResult result = engine.run();
     if (!result.complete && engine.frontier_influenced()) {
       ReplayEngine retry(*index, entry_, mode_, policy_, inputs, max_steps,
                          nullptr, strict, memo_, /*use_frontier=*/false,
-                         &touched_segment_keys_, &touched_frontier_keys_,
                          &chain_fp_valid_, &chain_fp_);
       result = retry.run();
     }

@@ -129,16 +129,6 @@ class PathReplayer {
   /// retries of the same chain skip the hash pass entirely.
   std::optional<u64> chain_fingerprint() const;
 
-  /// Cache keys the most recent replay() touched (hits and inserts), for
-  /// cross-session prefetch tagging (MemoCache::note_session). Valid until
-  /// the next replay() call.
-  const std::vector<u64>& touched_segment_keys() const {
-    return touched_segment_keys_;
-  }
-  const std::vector<u64>& touched_frontier_keys() const {
-    return touched_frontier_keys_;
-  }
-
   ReplayResult replay(const ReplayInputs& inputs, u64 max_steps = 100'000'000);
 
   /// Checker mode: instead of searching for a parse, follow `path` (e.g. a
@@ -160,8 +150,6 @@ class PathReplayer {
   const ReplayIndex* index_ = nullptr;
   MemoCache* memo_ = nullptr;
   bool use_frontier_ = true;
-  std::vector<u64> touched_segment_keys_;
-  std::vector<u64> touched_frontier_keys_;
   /// Whole-chain evidence fingerprint shared across one replay()'s engines
   /// (strict pass, lenient pass, detached retries): the first engine that
   /// consults the frontier computes it once; the rest reuse it. Engines run

@@ -127,20 +127,11 @@ cfa::Challenge Verifier::fresh_challenge() {
     }
   }
   sessions_.issue(0, chal);
-  // Cross-session prefetch: a challenge means a verification is imminent —
-  // re-touch this device's tagged cache entries so tick-LRU keeps them
-  // resident through the replay (the single-device facade is device 0).
-  if (deployment_ && config_.use_memo && kMemoEnabled) {
-    deployment_->memo().prefetch(0);
-  }
   return chal;
 }
 
 void Verifier::adopt_challenge(const cfa::Challenge& chal) {
   sessions_.issue(0, chal);
-  if (deployment_ && config_.use_memo && kMemoEnabled) {
-    deployment_->memo().prefetch(0);
-  }
 }
 
 namespace {
@@ -513,13 +504,6 @@ VerificationResult verify_report_chain(
     }
     consume_challenge();
     result.verdict = Verdict::Accept;
-    // Chain completion: tag the cache entries this session touched with the
-    // device id, so the next challenge for this device can pre-touch them
-    // (cross-session prefetch — tick-LRU then keeps them resident).
-    if (memo_attached) {
-      deployment.memo().note_session(device, replayer.touched_segment_keys(),
-                                     replayer.touched_frontier_keys());
-    }
     return result;
   }
 

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "apps/runner.hpp"
-#include "common/crc32.hpp"
 #include "common/hex.hpp"
 #include "fault/campaign.hpp"
 #include "gen_corpus.hpp"
@@ -238,25 +237,6 @@ TEST(MemoFrontierUnit, FrontierEntriesChargeTheByteBudget) {
   EXPECT_EQ(stats.frontier_inserts, 64u);
   EXPECT_LT(stats.frontier_entries, 64u)
       << "tiny budget never evicted a frontier entry";
-}
-
-TEST(MemoPrefetch, NoteSessionThenPrefetchWarmsTaggedEntries) {
-  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  MemoCache cache({.shards = 2});
-  cache.insert(42, make_segment(0x100));
-  verify::FrontierEntry entry = make_frontier(0x200, 9);
-  entry.has_decision = true;
-  cache.frontier_insert(entry);
-
-  const u64 seg_keys[] = {42};
-  const u64 frontier_keys[] = {entry.key_hash()};
-  cache.note_session(7, seg_keys, frontier_keys);
-  EXPECT_EQ(cache.prefetch(7), 2u) << "both tagged entries should re-touch";
-  EXPECT_EQ(cache.stats().prefetch_hits, 1u);
-  EXPECT_EQ(cache.stats().prefetch_warmed, 2u);
-  // Unknown device: nothing tagged, nothing warmed, no hit counted.
-  EXPECT_EQ(cache.prefetch(99), 0u);
-  EXPECT_EQ(cache.stats().prefetch_hits, 1u);
 }
 
 // -- fuzzed-chain differential (the ~200-plan fault campaign) -----------------
@@ -562,11 +542,9 @@ std::shared_ptr<const Deployment> gen_deployment(const GenChain& c,
 
 // The tentpole differential: across the whole parameter grid (>= 200
 // synthesized programs), verification_digest() is byte-identical with
-// {memo off}, {memo on, frontier off}, {memo + frontier, three warming
-// rounds} and {warm restart: snapshot -> fresh deployment -> restore}.
-// Guarded segment recording is on throughout — any unsound splice, stale
-// guard, or snapshot corruption shows up as a digest divergence on some
-// grid point. Programs are independent (each owns its deployments), so the
+// {memo off}, {memo on, frontier off} and {memo + frontier, three warming
+// rounds}. Guarded segment recording is on throughout — any unsound splice
+// or stale guard shows up as a digest divergence on some grid point. Programs are independent (each owns its deployments), so the
 // grid fans out across threads; under the `concurrency` label the tsan
 // preset drives this as a multi-threaded differential.
 TEST(MemoGenCorpus, GridDigestsInvariantAcrossMemoModes) {
@@ -603,19 +581,8 @@ TEST(MemoGenCorpus, GridDigestsInvariantAcrossMemoModes) {
                   "memo + frontier");
     }
     if (!err.empty()) return err;
-    const auto fresh = gen_deployment(c, dense);
-    if constexpr (verify::kMemoEnabled) {
-      const std::vector<u8> blob = d->memo().serialize_warm();
-      if (blob.empty() || !fresh->memo().restore_warm(blob)) {
-        return name + ": warm snapshot did not restore";
-      }
-    }
-    err = check(run_verify(fresh, kGenWatermark, c.chal, c.chain, true, true),
-                "warm restart");
-    if (!err.empty()) return err;
-    segment_hits += d->memo().stats().hits + fresh->memo().stats().hits;
-    frontier_hits +=
-        d->memo().stats().frontier_hits + fresh->memo().stats().frontier_hits;
+    segment_hits += d->memo().stats().hits;
+    frontier_hits += d->memo().stats().frontier_hits;
     return {};
   };
 
@@ -655,36 +622,31 @@ TEST(MemoGenCorpus, GridDigestsInvariantAcrossMemoModes) {
   }
 }
 
-// Ablation for the tentpole switch: on a checkpoint-dense repeated chain,
-// a guarded-segments deployment must out-hit an identically-configured
-// deployment with the PR-7 abort-on-ambiguity rule, while both stay on the
-// memo-off digest.
+// Guarded recording keeps the segment tier alive on a checkpoint-dense
+// repeated chain. Measured like the leafamb bench gate (16 memo + frontier
+// verifications from a cold cache), the segment hit rate holds the same 0.5
+// floor: the first two rounds warm both tiers, every later one splices.
+// Every round stays on the memo-off digest.
 TEST(MemoGenCorpus, GuardedSegmentsLiftHitsOnCheckpointDenseChains) {
   if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
   const gen::GenParams p{
       .depth = 2, .alarm_every = 4, .loop_shape = 0, .seed = 1};
   const GenChain c = attest_gen(p);
   ASSERT_TRUE(c.ok);
-  const MemoOptions guarded{.window_packets = 4, .anchor_backoff_cap = 0};
-  const MemoOptions unguarded{.window_packets = 4,
-                              .anchor_backoff_cap = 0,
-                              .guarded_segments = false};
-  const auto d_on = gen_deployment(c, guarded);
-  const auto d_off = gen_deployment(c, unguarded);
+  const auto d = gen_deployment(
+      c, MemoOptions{.window_packets = 4, .anchor_backoff_cap = 0});
   const VerificationResult plain =
-      run_verify(d_on, kGenWatermark, c.chal, c.chain, false);
+      run_verify(d, kGenWatermark, c.chal, c.chain, false);
   ASSERT_TRUE(plain.accepted()) << plain.detail;
   const std::string want = digest_hex(plain);
-  for (int round = 0; round < 4; ++round) {
+  for (int round = 0; round < 16; ++round) {
     const VerificationResult on =
-        run_verify(d_on, kGenWatermark, c.chal, c.chain, true, true);
-    const VerificationResult off =
-        run_verify(d_off, kGenWatermark, c.chal, c.chain, true, true);
-    EXPECT_EQ(digest_hex(on), want) << "guarded round " << round;
-    EXPECT_EQ(digest_hex(off), want) << "unguarded round " << round;
+        run_verify(d, kGenWatermark, c.chal, c.chain, true, true);
+    EXPECT_EQ(digest_hex(on), want) << "round " << round;
   }
-  EXPECT_GT(d_on->memo().stats().hits, d_off->memo().stats().hits)
-      << "guarded recording did not lift segment hits over the abort rule";
+  const verify::MemoStats stats = d->memo().stats();
+  EXPECT_GE(stats.hit_rate(), 0.5)
+      << stats.hits << " segment hits, " << stats.misses << " misses";
 }
 
 // -- whole-chain fingerprint amortization -------------------------------------
@@ -727,336 +689,6 @@ TEST(MemoFingerprint, ChainFingerprintComputedOnceThenReusedAcrossSessions) {
   // table, so nothing recomputes and at least one engine reuses.
   EXPECT_EQ(delta(s2, s1, "verify.memo.fingerprint.computed"), 0u);
   EXPECT_GE(delta(s2, s1, "verify.memo.fingerprint.reused"), 1u);
-}
-
-// -- warm snapshot / restore --------------------------------------------------
-
-// The acceptance criterion for persistent warm start: snapshot a warmed
-// cache, "kill" it (build a fresh deployment of the same image), restore,
-// and the first post-restore session must (a) produce the byte-identical
-// digest and (b) reach at least 80% of the steady-state hit rate.
-TEST(MemoWarmRestart, SnapshotRestoreKeepsDigestsAndHitRate) {
-  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  const fault::CampaignOptions options;
-  const PreparedApp prepared = apps::prepare_app(apps::app_by_name("gps"));
-  const AttestedRun clean = fault::attest_once(prepared, options);
-  ASSERT_TRUE(clean.functional_ok);
-  const MemoOptions dense{.window_packets = 4, .anchor_backoff_cap = 0};
-  const auto warm_deployment = Deployment::rap(
-      prepared.rap.program, prepared.rap.manifest, prepared.built.entry,
-      dense);
-
-  const VerificationResult plain =
-      run_verify(warm_deployment, options.watermark_bytes, clean.chal,
-                 clean.reports, false);
-  ASSERT_TRUE(plain.accepted()) << plain.detail;
-
-  // Warm up, then measure the steady-state hit deltas of one session.
-  run_verify(warm_deployment, options.watermark_bytes, clean.chal,
-             clean.reports, true);
-  run_verify(warm_deployment, options.watermark_bytes, clean.chal,
-             clean.reports, true);
-  const verify::MemoStats before = warm_deployment->memo().stats();
-  run_verify(warm_deployment, options.watermark_bytes, clean.chal,
-             clean.reports, true);
-  const verify::MemoStats after = warm_deployment->memo().stats();
-  const u64 steady_hits = (after.hits - before.hits) +
-                          (after.frontier_hits - before.frontier_hits);
-  ASSERT_GT(steady_hits, 0u) << "steady state never hits: test is vacuous";
-
-  const std::vector<u8> blob = warm_deployment->memo().serialize_warm();
-  ASSERT_FALSE(blob.empty());
-
-  // "Restart": a brand-new deployment of the same image, restored from the
-  // snapshot, must serve the first session nearly as well as steady state.
-  const auto restored = Deployment::rap(prepared.rap.program,
-                                        prepared.rap.manifest,
-                                        prepared.built.entry, dense);
-  ASSERT_TRUE(restored->memo().restore_warm(blob));
-  const VerificationResult first =
-      run_verify(restored, options.watermark_bytes, clean.chal, clean.reports,
-                 true);
-  EXPECT_EQ(digest_hex(first), digest_hex(plain)) << "post-restore digest";
-  const verify::MemoStats fresh = restored->memo().stats();
-  const u64 restored_hits = fresh.hits + fresh.frontier_hits;
-  EXPECT_GE(static_cast<double>(restored_hits),
-            0.8 * static_cast<double>(steady_hits))
-      << "warm-restored start fell below 80% of the steady-state hit rate ("
-      << restored_hits << " vs " << steady_hits << ")";
-}
-
-// A corrupt or truncated MEM1 blob must be refused atomically: the cache
-// stays cold (never half-loaded) and verification stays byte-correct.
-TEST(MemoWarmRestart, CorruptSnapshotDegradesToColdNeverWrongVerdict) {
-  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  const fault::CampaignOptions options;
-  const PreparedApp prepared = apps::prepare_app(apps::app_by_name("gps"));
-  const AttestedRun clean = fault::attest_once(prepared, options);
-  ASSERT_TRUE(clean.functional_ok);
-  const MemoOptions dense{.window_packets = 4, .anchor_backoff_cap = 0};
-  const auto source = Deployment::rap(prepared.rap.program,
-                                      prepared.rap.manifest,
-                                      prepared.built.entry, dense);
-  const VerificationResult plain = run_verify(
-      source, options.watermark_bytes, clean.chal, clean.reports, false);
-  run_verify(source, options.watermark_bytes, clean.chal, clean.reports, true);
-  const std::vector<u8> good = source->memo().serialize_warm();
-  ASSERT_GT(good.size(), 16u);
-
-  const auto expect_cold_refusal = [&](std::vector<u8> bad,
-                                       const std::string& label) {
-    const auto victim = Deployment::rap(prepared.rap.program,
-                                        prepared.rap.manifest,
-                                        prepared.built.entry, dense);
-    EXPECT_FALSE(victim->memo().restore_warm(bad)) << label;
-    EXPECT_EQ(victim->memo().stats().entries, 0u) << label << ": half-loaded";
-    EXPECT_EQ(victim->memo().stats().frontier_entries, 0u)
-        << label << ": half-loaded frontier";
-    const VerificationResult result = run_verify(
-        victim, options.watermark_bytes, clean.chal, clean.reports, true);
-    EXPECT_EQ(digest_hex(result), digest_hex(plain)) << label;
-  };
-
-  std::vector<u8> flipped = good;
-  flipped[good.size() / 2] ^= 0x40;
-  expect_cold_refusal(std::move(flipped), "bit flip mid-blob");
-  expect_cold_refusal({good.begin(), good.end() - 5}, "truncated");
-  expect_cold_refusal({good.begin(), good.begin() + 3}, "shorter than magic");
-  std::vector<u8> wrong_magic = good;
-  wrong_magic[0] = 'X';
-  expect_cold_refusal(std::move(wrong_magic), "wrong magic");
-
-  // The intact blob still restores after all the refusals.
-  const auto victim = Deployment::rap(prepared.rap.program,
-                                      prepared.rap.manifest,
-                                      prepared.built.entry, dense);
-  EXPECT_TRUE(victim->memo().restore_warm(good));
-  EXPECT_GT(victim->memo().stats().entries, 0u);
-}
-
-// SST1 with a warm section: session state and cache warmth round-trip
-// together; a legacy (memo-less) blob still loads; a corrupt warm section
-// degrades to cold without failing the session restore.
-TEST(MemoWarmRestart, SessionStoreCarriesWarmSection) {
-  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  MemoCache cache({.shards = 2});
-  cache.insert(42, make_segment(0x100));
-  verify::FrontierEntry entry = make_frontier(0x300, 5);
-  entry.has_decision = true;
-  cache.frontier_insert(entry);
-
-  verify::SessionStore store;
-  cfa::Challenge chal{};
-  chal[0] = 0xaa;
-  store.issue(3, chal);
-  const std::vector<u8> blob = store.serialize(&cache);
-
-  verify::SessionStore recovered;
-  MemoCache recovered_cache({.shards = 2});
-  ASSERT_TRUE(recovered.deserialize(blob, &recovered_cache));
-  EXPECT_EQ(recovered.state(3, chal),
-            verify::SessionStore::ChallengeState::Outstanding);
-  EXPECT_EQ(recovered_cache.stats().entries, 1u);
-  EXPECT_EQ(recovered_cache.stats().frontier_entries, 1u);
-
-  // Legacy blob (no warm section) into a memo-aware restore: cold cache.
-  verify::SessionStore legacy;
-  MemoCache cold_cache;
-  ASSERT_TRUE(legacy.deserialize(store.serialize(), &cold_cache));
-  EXPECT_EQ(cold_cache.stats().entries, 0u);
-
-  // Corrupt warm section: session state restores, cache stays cold.
-  std::vector<u8> corrupt = blob;
-  corrupt.back() ^= 0x01;  // inside the MEM1 section (its crc trailer)
-  verify::SessionStore damaged;
-  MemoCache damaged_cache({.shards = 2});
-  ASSERT_TRUE(damaged.deserialize(corrupt, &damaged_cache));
-  EXPECT_EQ(damaged.state(3, chal),
-            verify::SessionStore::ChallengeState::Outstanding);
-  EXPECT_EQ(damaged_cache.stats().entries, 0u);
-}
-
-// -- MEM1 v2: guarded segments across snapshot/restore ------------------------
-
-// Guarded segments survive the MEM1 round-trip intact: a restored verifier
-// serves the same checkpoint-dense chain from spliced segments (not just
-// frontier decisions) and lands on the byte-identical digest.
-TEST(MemoWarmRestart, GuardedSegmentsRoundTripThroughSnapshot) {
-  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  const gen::GenParams p{
-      .depth = 2, .alarm_every = 4, .loop_shape = 0, .seed = 5};
-  const GenChain c = attest_gen(p);
-  ASSERT_TRUE(c.ok);
-  const MemoOptions dense{.window_packets = 4, .anchor_backoff_cap = 0};
-  const auto warm = gen_deployment(c, dense);
-  const VerificationResult plain =
-      run_verify(warm, kGenWatermark, c.chal, c.chain, false);
-  ASSERT_TRUE(plain.accepted()) << plain.detail;
-  for (int round = 0; round < 3; ++round) {
-    run_verify(warm, kGenWatermark, c.chal, c.chain, true, true);
-  }
-  ASSERT_GT(warm->memo().stats().hits, 0u)
-      << "warm-up never spliced a (guarded) segment: test is vacuous";
-
-  const std::vector<u8> blob = warm->memo().serialize_warm();
-  ASSERT_FALSE(blob.empty());
-  const auto restored = gen_deployment(c, dense);
-  ASSERT_TRUE(restored->memo().restore_warm(blob));
-  const VerificationResult first =
-      run_verify(restored, kGenWatermark, c.chal, c.chain, true, true);
-  EXPECT_EQ(digest_hex(first), digest_hex(plain)) << "post-restore digest";
-  // The segment tier specifically must fire: restored guards re-validated
-  // against the restored frontier entries and spliced.
-  EXPECT_GT(restored->memo().stats().hits, 0u)
-      << "restored guarded segments never spliced";
-}
-
-// Restored guards must never splice against evidence they were not recorded
-// for: warm the cache on the clean chain, restore it, then verify a faulted
-// variant of the same app. The guards' frontier states miss, replay falls
-// back to the normal search, and the digest equals the faulted chain's own
-// memo-off digest.
-TEST(MemoWarmRestart, RestoredGuardsNeverSpliceAgainstForeignEvidence) {
-  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  const Corpus& fuzz = corpus();
-  const Case* faulted = nullptr;
-  for (const Case& c : fuzz.cases) {
-    if (c.app == 0 && c.label.find("clean") == std::string::npos) {
-      faulted = &c;
-      break;
-    }
-  }
-  ASSERT_NE(faulted, nullptr);
-  const Case& clean = fuzz.cases[0];
-  ASSERT_EQ(clean.app, 0u);
-
-  const PreparedApp prepared = apps::prepare_app(apps::app_by_name("gps"));
-  const MemoOptions dense{.window_packets = 4, .anchor_backoff_cap = 0};
-  const auto warm =
-      Deployment::rap(prepared.rap.program, prepared.rap.manifest,
-                      prepared.built.entry, dense);
-  for (int round = 0; round < 3; ++round) {
-    run_verify(warm, fuzz.watermark, clean.chal, clean.chain, true, true);
-  }
-  const std::vector<u8> blob = warm->memo().serialize_warm();
-  ASSERT_FALSE(blob.empty());
-
-  const auto cold =
-      Deployment::rap(prepared.rap.program, prepared.rap.manifest,
-                      prepared.built.entry, dense);
-  const VerificationResult want = run_verify(
-      cold, fuzz.watermark, faulted->chal, faulted->chain, false);
-  const auto restored =
-      Deployment::rap(prepared.rap.program, prepared.rap.manifest,
-                      prepared.built.entry, dense);
-  ASSERT_TRUE(restored->memo().restore_warm(blob));
-  const VerificationResult got = run_verify(
-      restored, fuzz.watermark, faulted->chal, faulted->chain, true, true);
-  EXPECT_EQ(digest_hex(got), digest_hex(want)) << faulted->label;
-}
-
-// Surgical MEM1 corruption inside the (CRC-resealed) guard section: a
-// forged guard count and a version-1 downgrade must both be refused
-// atomically. This drives the staged parser's bounds checks directly —
-// the whole-blob CRC is valid, so only the structural checks can save us.
-TEST(MemoWarmRestart, ForgedGuardSectionRefusedEvenWithValidCrc) {
-  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  MemoCache cache({.shards = 1});
-  auto seg = std::make_shared<MemoSegment>();
-  seg->entry_pc = 0x100;
-  seg->exit_pc = 0x104;
-  seg->steps = 1;
-  verify::SegmentGuard guard;
-  guard.pc = 0x102;
-  guard.decision = true;
-  guard.failed_mask = 2;
-  guard.steps_delta = 3;
-  seg->guards.push_back(guard);  // empty suffix: minimum wire footprint
-  cache.insert(7, seg);
-  const std::vector<u8> blob = cache.serialize_warm();
-  ASSERT_FALSE(blob.empty());
-
-  const auto reseal = [](std::vector<u8>& b) {
-    const u32 crc =
-        crc32(std::span<const u8>(b.data(), b.size() - 4));
-    for (int i = 0; i < 4; ++i) {
-      b[b.size() - 4 + i] = static_cast<u8>(crc >> (8 * i));
-    }
-  };
-  {
-    // Control: resealing the untouched blob reproduces it byte-for-byte,
-    // so the refusals below are structural, not CRC artifacts.
-    std::vector<u8> same = blob;
-    reseal(same);
-    ASSERT_EQ(same, blob);
-    MemoCache ok({.shards = 1});
-    ASSERT_TRUE(ok.restore_warm(same));
-    EXPECT_EQ(ok.stats().entries, 1u);
-  }
-  {
-    // One segment, one empty-suffix guard, no frontier/device sections:
-    // walking back from the end, crc(4) + devices(4) + frontier(4) +
-    // guard wire bytes + the guard count itself locates the count field.
-    const size_t at = blob.size() - (4 + 4 + 4 + 110 + 4);
-    std::vector<u8> forged = blob;
-    ASSERT_EQ(forged[at], 1u) << "guard-count offset math is stale";
-    ASSERT_EQ(forged[at + 1], 0u);
-    forged[at] = forged[at + 1] = forged[at + 2] = forged[at + 3] = 0xff;
-    reseal(forged);
-    MemoCache victim({.shards = 1});
-    EXPECT_FALSE(victim.restore_warm(forged)) << "forged guard count";
-    EXPECT_EQ(victim.stats().entries, 0u) << "half-applied restore";
-  }
-  {
-    // MEM1 v1 predates guards; a downgraded header is refused wholesale
-    // rather than misparsed (guards would read as the frontier section).
-    std::vector<u8> v1 = blob;
-    v1[4] = 1;
-    v1[5] = v1[6] = v1[7] = 0;
-    reseal(v1);
-    MemoCache victim({.shards = 1});
-    EXPECT_FALSE(victim.restore_warm(v1)) << "version downgrade";
-    EXPECT_EQ(victim.stats().entries, 0u);
-  }
-}
-
-// The >=80% steady-state warm-hit criterion, on the checkpoint-dense
-// generative shape (the regime guarded segments exist for) rather than the
-// registry app the original test uses.
-TEST(MemoWarmRestart, CheckpointDenseSnapshotKeepsHitRate) {
-  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  const gen::GenParams p{
-      .depth = 2, .alarm_every = 4, .loop_shape = 1, .seed = 2};
-  const GenChain c = attest_gen(p);
-  ASSERT_TRUE(c.ok);
-  const MemoOptions dense{.window_packets = 4, .anchor_backoff_cap = 0};
-  const auto warm = gen_deployment(c, dense);
-  const VerificationResult plain =
-      run_verify(warm, kGenWatermark, c.chal, c.chain, false);
-  ASSERT_TRUE(plain.accepted()) << plain.detail;
-
-  run_verify(warm, kGenWatermark, c.chal, c.chain, true, true);
-  run_verify(warm, kGenWatermark, c.chal, c.chain, true, true);
-  const verify::MemoStats before = warm->memo().stats();
-  run_verify(warm, kGenWatermark, c.chal, c.chain, true, true);
-  const verify::MemoStats after = warm->memo().stats();
-  const u64 steady_hits = (after.hits - before.hits) +
-                          (after.frontier_hits - before.frontier_hits);
-  ASSERT_GT(steady_hits, 0u) << "steady state never hits: test is vacuous";
-
-  const std::vector<u8> blob = warm->memo().serialize_warm();
-  ASSERT_FALSE(blob.empty());
-  const auto restored = gen_deployment(c, dense);
-  ASSERT_TRUE(restored->memo().restore_warm(blob));
-  const VerificationResult first =
-      run_verify(restored, kGenWatermark, c.chal, c.chain, true, true);
-  EXPECT_EQ(digest_hex(first), digest_hex(plain)) << "post-restore digest";
-  const verify::MemoStats fresh = restored->memo().stats();
-  const u64 restored_hits = fresh.hits + fresh.frontier_hits;
-  EXPECT_GE(static_cast<double>(restored_hits),
-            0.8 * static_cast<double>(steady_hits))
-      << "checkpoint-dense warm start fell below 80% of steady state ("
-      << restored_hits << " vs " << steady_hits << ")";
 }
 
 }  // namespace

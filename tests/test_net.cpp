@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "fault/campaign.hpp"
 #include "net/endpoint.hpp"
 #include "net/link.hpp"
@@ -67,6 +68,10 @@ const Fixture& fixture() {
     return out;
   }();
   return fx;
+}
+
+void append_u32(std::vector<u8>& out, u32 value) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(value >> (8 * i)));
 }
 
 void provision(VerifierFarm& farm, DeviceId device) {
@@ -512,6 +517,38 @@ TEST(NetRecovery, SessionStoreSerializeRoundTrips) {
   EXPECT_EQ(fresh.sessions().serialize(), blob);
 }
 
+// A MEM1 warm-cache trailer as older builds appended to SST1/VSS1 snapshots:
+// magic, version 2, empty segment/frontier/device tables, crc32. Restore
+// must treat it as hostile trailing bytes, not as a section to skip.
+std::vector<u8> legacy_mem1_trailer() {
+  std::vector<u8> out = {'M', 'E', 'M', '1'};
+  append_u32(out, 2);
+  for (int table = 0; table < 3; ++table) append_u32(out, 0);
+  append_u32(out, crc32(out));
+  return out;
+}
+
+TEST(NetRecovery, SessionStoreRefusesBytesAfterChecksum) {
+  VerifierFarm farm(apps::demo_key(), {.workers = 1});
+  provision(farm, /*device=*/92);
+  provision(farm, /*device=*/93);
+  const std::vector<u8> blob = farm.sessions().serialize();
+
+  VerifierFarm fresh(apps::demo_key(), {.workers = 1});
+  provision(fresh, /*device=*/94);
+  const std::vector<u8> before = fresh.sessions().serialize();
+  const std::vector<u8> zero = {0};
+  for (const std::vector<u8>& tail : {zero, legacy_mem1_trailer()}) {
+    std::vector<u8> hostile = blob;
+    hostile.insert(hostile.end(), tail.begin(), tail.end());
+    EXPECT_FALSE(fresh.sessions().deserialize(hostile))
+        << tail.size() << " trailing bytes accepted";
+    EXPECT_EQ(fresh.sessions().serialize(), before)
+        << "a refused restore changed the store";
+  }
+  EXPECT_TRUE(fresh.sessions().deserialize(blob));
+}
+
 // The acceptance scenario: kill the verifier mid-session, restore a fresh
 // farm + endpoint from the snapshot, and finish to the same terminal
 // verdict digest the uninterrupted run reaches.
@@ -566,47 +603,6 @@ TEST(NetRecovery, SnapshotRestoreMidSessionResumesToSameDigest) {
   EXPECT_EQ(outcome.verdict->digest, baseline) << "seed=" << kSeed;
 }
 
-// The VSS1 v2 snapshot carries one warm memo-cache section per provisioned
-// deployment, keyed by expected H_MEM: a recovered endpoint whose farm
-// re-provisions the same image starts with the cache warm, not cold.
-TEST(NetRecovery, SnapshotCarriesWarmMemoCacheAcrossRestore) {
-  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  // A private deployment so this test controls its own cache warmth; short
-  // memo windows with backoff disabled guarantee cache traffic on this
-  // checkpoint-dense RAP chain (same settings as the memo differentials).
-  const verify::MemoOptions dense{.window_packets = 4,
-                                  .anchor_backoff_cap = 0};
-  const auto warm_deployment = Deployment::rap(fixture().prepared.rap.program,
-                                               fixture().prepared.rap.manifest,
-                                               fixture().prepared.built.entry,
-                                               dense);
-  VerifierFarm farm(apps::demo_key(), {.workers = 1});
-  farm.provision(120, warm_deployment, fixture().config);
-  farm.adopt_challenge(120, fixture().clean.chal);
-  VerifierEndpoint endpoint(farm);
-  DuplexLink link(LinkModel{}, LinkModel{}, /*seed=*/9);
-  ProverEndpoint prover(120, 1, fixture().clean.reports, {}, /*seed=*/9);
-  const SessionOutcome outcome = run_session(prover, endpoint, link);
-  ASSERT_EQ(outcome.phase, ProverPhase::Done);
-  ASSERT_EQ(outcome.verdict->verdict, Verdict::Accept);
-  ASSERT_GT(warm_deployment->memo().stats().entries, 0u)
-      << "session never warmed the cache; the test is vacuous";
-  const auto snapshot = endpoint.snapshot();
-
-  // Crash: fresh farm, fresh deployment of the same image (fresh = cold
-  // cache), restore. The warm section must land in the new cache.
-  const auto fresh_deployment = Deployment::rap(
-      fixture().prepared.rap.program, fixture().prepared.rap.manifest,
-      fixture().prepared.built.entry, dense);
-  ASSERT_EQ(fresh_deployment->memo().stats().entries, 0u);
-  VerifierFarm recovered(apps::demo_key(), {.workers = 1});
-  recovered.provision(120, fresh_deployment, fixture().config);
-  VerifierEndpoint restored(recovered);
-  ASSERT_TRUE(restored.restore(snapshot));
-  EXPECT_GT(fresh_deployment->memo().stats().entries, 0u)
-      << "restore never warmed the re-provisioned deployment's cache";
-}
-
 TEST(NetRecovery, SnapshotRejectsCorruptionTruncationAndBadMagic) {
   VerifierFarm farm(apps::demo_key(), {.workers = 1});
   provision(farm, /*device=*/110);
@@ -622,6 +618,55 @@ TEST(NetRecovery, SnapshotRejectsCorruptionTruncationAndBadMagic) {
   EXPECT_FALSE(endpoint.restore(std::span(blob.data(), blob.size() - 1)));
   EXPECT_FALSE(endpoint.restore({}));
   // The original blob still loads after all the failed attempts.
+  EXPECT_TRUE(endpoint.restore(blob));
+}
+
+// VSS1 is version 1 only and ends at its checksum: appended bytes (raw, a
+// legacy MEM1 trailer, or a trailer re-sealed under a fresh crc) and the
+// retired version 2 layout (trailing warm-section table) are all refused,
+// and the endpoint and its farm's session store stay exactly as they were.
+TEST(NetRecovery, SnapshotRefusesTrailingBytesAndVersionTwo) {
+  VerifierFarm farm(apps::demo_key(), {.workers = 1});
+  provision(farm, /*device=*/111);
+  VerifierEndpoint endpoint(farm);
+  DuplexLink link(LinkModel{}, LinkModel{}, /*seed=*/3);
+  ProverEndpoint prover(111, 1, fixture().clean.reports, {}, /*seed=*/3);
+  for (int tick = 0; tick < 2; ++tick) {
+    prover.on_tick(link);
+    endpoint.on_tick(link);
+    link.advance();
+  }
+  ASSERT_TRUE(endpoint.session_info(111, 1).has_value())
+      << "no session in flight; the snapshot would be trivial";
+  const std::vector<u8> blob = endpoint.snapshot();
+  const std::vector<u8> store_before = farm.sessions().serialize();
+  const std::vector<u8> body(blob.begin(), blob.end() - 4);
+  const auto seal = [](std::vector<u8> bytes) {
+    append_u32(bytes, crc32(bytes));
+    return bytes;
+  };
+
+  const std::vector<u8> mem1 = legacy_mem1_trailer();
+  std::vector<u8> raw = blob;
+  raw.push_back(0);
+  std::vector<u8> trailer = blob;
+  trailer.insert(trailer.end(), mem1.begin(), mem1.end());
+  std::vector<u8> resealed = body;
+  resealed.insert(resealed.end(), mem1.begin(), mem1.end());
+  // Version 2 as older builds wrote it: the v1 body plus an (empty) table of
+  // per-deployment warm sections, under a valid crc.
+  std::vector<u8> v2 = body;
+  v2[4] = 2;
+  append_u32(v2, 0);
+  const std::vector<std::vector<u8>> hostile = {raw, trailer, seal(resealed),
+                                                seal(v2)};
+
+  for (size_t i = 0; i < hostile.size(); ++i) {
+    EXPECT_FALSE(endpoint.restore(hostile[i])) << "hostile blob " << i;
+    EXPECT_EQ(endpoint.snapshot(), blob) << "hostile blob " << i;
+    EXPECT_EQ(farm.sessions().serialize(), store_before)
+        << "hostile blob " << i;
+  }
   EXPECT_TRUE(endpoint.restore(blob));
 }
 

@@ -5,9 +5,8 @@
 //   bench_throughput [--quick] [--out FILE] [--metrics-out FILE]
 //
 // Emits BENCH_sim_throughput.json with one row per (app, method, path),
-// where path is "oracle" (decode-per-step), "slot" (predecoded, superblock
-// fusion disabled — the ablation row), or "fast" (predecoded + superblock
-// fusion + deferred MTB emission):
+// where path is "oracle" (decode-per-step) or "fast" (predecoded + superblock
+// fusion):
 //   { "app", "method", "path", "instructions", "wall_ns", "mips", "speedup" }
 // plus the geometric-mean "fast" speedup over all (app, method) pairs. The binary
 // re-reads and validates the emitted file against that schema and exits
@@ -34,12 +33,11 @@ namespace {
 namespace apps = raptrack::apps;
 using raptrack::u64;
 
-enum class Path { kOracle, kSlot, kFast };
+enum class Path { kOracle, kFast };
 
 const char* path_name(Path p) {
   switch (p) {
     case Path::kOracle: return "oracle";
-    case Path::kSlot: return "slot";
     case Path::kFast: return "fast";
   }
   return "?";
@@ -48,7 +46,7 @@ const char* path_name(Path p) {
 struct Row {
   std::string app;
   std::string method;
-  std::string path;  // "oracle", "slot", or "fast"
+  std::string path;  // "oracle" or "fast"
   u64 instructions = 0;
   u64 wall_ns = 0;
   double mips = 0.0;
@@ -84,7 +82,6 @@ Row measure(const std::string& app, const std::string& method, MethodFn fn,
   // small enough that per-rep Machine teardown does not dominate tiny apps.
   config.mtb_buffer_bytes = 1 << 18;
   config.fast_path = path != Path::kOracle;
-  config.superblocks = path == Path::kFast;
   // The oracle tracer is test instrumentation (ground-truth branch history
   // for the differential harness); it is not part of the simulated device,
   // so the throughput bench measures the machine without it.
@@ -176,7 +173,6 @@ bool validate(const std::string& text, size_t expected_rows,
       }
     }
     if (row.find("\"path\": \"fast\"") == std::string::npos &&
-        row.find("\"path\": \"slot\"") == std::string::npos &&
         row.find("\"path\": \"oracle\"") == std::string::npos) {
       error = "row " + std::to_string(rows) + " has an unknown path";
       return false;
@@ -248,25 +244,16 @@ int main(int argc, char** argv) {
     for (const auto& method : methods) {
       Row oracle = measure(app.name, method.name, method.fn, prepared,
                            Path::kOracle, reps);
-      Row slot = measure(app.name, method.name, method.fn, prepared,
-                         Path::kSlot, reps);
       Row fast = measure(app.name, method.name, method.fn, prepared,
                          Path::kFast, reps);
-      slot.speedup = static_cast<double>(oracle.wall_ns) /
-                     static_cast<double>(slot.wall_ns);
       fast.speedup = static_cast<double>(oracle.wall_ns) /
                      static_cast<double>(fast.wall_ns);
-      // The headline geomean stays over the "fast" rows; "slot" is the
-      // fusion-off ablation (EXPERIMENTS.md reports both).
       log_sum += std::log(fast.speedup);
       ++pairs;
       std::printf(
-          "%-14s %-8s oracle %7.2f MIPS   slot %8.2f MIPS %5.2fx   "
-          "fast %8.2f MIPS %5.2fx\n",
-          app.name.c_str(), method.name, oracle.mips, slot.mips, slot.speedup,
-          fast.mips, fast.speedup);
+          "%-14s %-8s oracle %7.2f MIPS   fast %8.2f MIPS %5.2fx\n",
+          app.name.c_str(), method.name, oracle.mips, fast.mips, fast.speedup);
       all.push_back(std::move(oracle));
-      all.push_back(std::move(slot));
       all.push_back(std::move(fast));
     }
   }

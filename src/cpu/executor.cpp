@@ -276,27 +276,26 @@ HaltReason Executor::run_fast_with(u64 max_instructions, const Sinks& sinks) {
             // at its end. The shared execute() still steps every
             // instruction (ZeroCost + SinksNone specialization), so the
             // architectural state transition is the oracle's, verbatim.
-            if (fuse != nullptr) {
-              const size_t head = static_cast<size_t>(slot - slots);
-              u32 n = fuse[head].len;
-              if (n >= 2 && sinks.fuse_window(pc, n)) {
-                const u64 room = limit - instructions_;
-                if (room < n) n = static_cast<u32>(room);
-                sinks.retire_batch(n);
-                execute_fused_window(slot, n, pc);
-                slot += n;
-                instructions_ += n;
-                fused_retired_ += n;
-                const size_t tail = head + n;
-                cycles_ += fuse[head].cycles -
-                           (tail < slot_count ? fuse[tail].cycles : 0);
-                pc += 4 * n;  // == state_.pc(): each op fell through
-                if (instructions_ >= limit || pc >= end ||
-                    slot->kind != SlotKind::Valid) {
-                  break;
-                }
-                continue;
+            const size_t head = static_cast<size_t>(slot - slots);
+            u32 n = fuse[head].len;
+            if (n >= 2 && sinks.fuse_window(pc, n)) {
+              const u64 room = limit - instructions_;
+              if (room < n) n = static_cast<u32>(room);
+              sinks.retire_batch(n);
+              step_fused(slot, n, pc);
+              slot += n;
+              pc += 4 * n;
+              instructions_ += n;
+              fused_retired_ += n;
+              const size_t tail = head + n;
+              cycles_ += fuse[head].cycles -
+                         (tail < slot_count ? fuse[tail].cycles : 0);
+              // pc == state_.pc(): each op fell through.
+              if (instructions_ >= limit || pc >= end ||
+                  slot->kind != SlotKind::Valid) {
+                break;
               }
+              continue;
             }
             sinks.instruction(pc);
             ++instructions_;
@@ -343,6 +342,15 @@ HaltReason Executor::run_fast_with(u64 max_instructions, const Sinks& sinks) {
   return HaltReason::InstrBudget;
 }
 
+// Flattened so execute()'s switch is inlined into the loop; an out-of-line
+// execute() call per op cost about 5% on bench_throughput's fast rows.
+[[gnu::flatten]] void Executor::step_fused(const isa::DecodedSlot* slot, u32 n,
+                                          Address pc) {
+  for (u32 k = 0; k < n; ++k, ++slot, pc += 4) {
+    execute(slot->instr, pc, SinksNone{}, ZeroCost{});
+  }
+}
+
 HaltReason Executor::run_fast(u64 max_instructions) {
   if (image_ == nullptr) return run(max_instructions);
   switch (sinks_.size()) {
@@ -350,23 +358,15 @@ HaltReason Executor::run_fast(u64 max_instructions) {
     case 1:
       // The single sink is almost always the trace fabric; TraceFabric is
       // final, so binding it by concrete type devirtualizes (and inlines)
-      // the MTB tick + DWT comparator walk into the hot loop. With the
-      // fabric bound concretely the MTB may also defer packet emission for
-      // the duration of the run (DeferScope): no other sink consumes
-      // branches, and every external read of MTB state flushes first, so
-      // the stored wire bytes are identical to eager emission.
+      // the MTB tick + DWT comparator walk into the hot loop.
       if (auto* fabric = dynamic_cast<trace::TraceFabric*>(sinks_[0])) {
-        trace::Mtb::DeferScope defer(fabric->mtb());
         return run_fast_with(max_instructions, SinksFabric{fabric});
       }
       return run_fast_with(max_instructions, SinksOne{sinks_[0]});
     case 2:
-      // The simulator default: fabric + ground-truth oracle tracer. The
-      // oracle keeps its own (eager) event vector, so MTB deferral is still
-      // private to the fabric.
+      // The simulator default: fabric + ground-truth oracle tracer.
       if (auto* fabric = dynamic_cast<trace::TraceFabric*>(sinks_[0])) {
         if (auto* oracle = dynamic_cast<trace::OracleTracer*>(sinks_[1])) {
-          trace::Mtb::DeferScope defer(fabric->mtb());
           return run_fast_with(max_instructions, SinksFabricOracle{fabric, oracle});
         }
       }
@@ -632,150 +632,6 @@ void Executor::execute(const Instruction& in, Address pc, const Sinks& sinks,
 
   cycles_ += cost(taken);
   state_.set_pc(next);
-}
-
-void Executor::execute_fused_window(const isa::DecodedSlot* slot, u32 n,
-                                    Address pc) {
-  // Reduced interpreter over the fusible_in_superblock() subset. Every case
-  // reproduces the corresponding execute() case verbatim (same ALU helpers,
-  // same flag-update order, same rd == PC tolerance: a write to regs[PC]
-  // here is dead, overwritten by the set_pc below exactly as execute()'s
-  // per-op set_pc(next) overwrites it). Kept small so the compiler emits a
-  // dense jump table and keeps the loop state in registers — this loop is
-  // why superblock fusion is faster than per-slot dispatch, not just
-  // equal to it (see bench_throughput's fast-vs-slot ablation).
-  for (u32 k = 0; k < n; ++k, ++slot, pc += 4) {
-    const Instruction& in = slot->instr;
-    switch (in.op) {
-      case Op::NOP:
-        break;
-      case Op::MOVI:
-        state_.set_reg(in.rd, static_cast<Word>(in.imm));
-        break;
-      case Op::MOVT:
-        state_.set_reg(in.rd, (state_.reg(in.rd) & 0xffffu) |
-                                  (static_cast<Word>(in.imm) << 16));
-        break;
-      case Op::MOV: {
-        const Word value = read_operand(in.rm, pc);
-        state_.set_reg(in.rd, value);
-        if (in.set_flags) set_nz(value);
-        break;
-      }
-      case Op::MVN: {
-        const Word value = ~read_operand(in.rm, pc);
-        state_.set_reg(in.rd, value);
-        if (in.set_flags) set_nz(value);
-        break;
-      }
-      case Op::ADD:
-      case Op::ADDI: {
-        const Word a = read_operand(in.rn, pc);
-        const Word b = in.op == Op::ADD ? read_operand(in.rm, pc)
-                                        : static_cast<Word>(in.imm);
-        state_.set_reg(in.rd, alu_add(a, b, in.set_flags));
-        break;
-      }
-      case Op::SUB:
-      case Op::SUBI: {
-        const Word a = read_operand(in.rn, pc);
-        const Word b = in.op == Op::SUB ? read_operand(in.rm, pc)
-                                        : static_cast<Word>(in.imm);
-        state_.set_reg(in.rd, alu_sub(a, b, in.set_flags));
-        break;
-      }
-      case Op::RSB:
-      case Op::RSBI: {
-        const Word a = read_operand(in.rn, pc);
-        const Word b = in.op == Op::RSB ? read_operand(in.rm, pc)
-                                        : static_cast<Word>(in.imm);
-        state_.set_reg(in.rd, alu_sub(b, a, in.set_flags));
-        break;
-      }
-      case Op::MUL: {
-        const Word result = read_operand(in.rn, pc) * read_operand(in.rm, pc);
-        state_.set_reg(in.rd, result);
-        if (in.set_flags) set_nz(result);
-        break;
-      }
-      case Op::UDIV: {
-        const Word d = read_operand(in.rm, pc);
-        state_.set_reg(in.rd, d == 0 ? 0 : read_operand(in.rn, pc) / d);
-        break;
-      }
-      case Op::SDIV: {
-        const i32 d = static_cast<i32>(read_operand(in.rm, pc));
-        const i32 nn = static_cast<i32>(read_operand(in.rn, pc));
-        i32 q = 0;
-        if (d != 0) {
-          q = (nn == INT32_MIN && d == -1) ? INT32_MIN : nn / d;
-        }
-        state_.set_reg(in.rd, static_cast<Word>(q));
-        break;
-      }
-      case Op::AND: case Op::ANDI:
-      case Op::ORR: case Op::ORRI:
-      case Op::EOR: case Op::EORI: {
-        const Word a = read_operand(in.rn, pc);
-        const Word b = (isa::format_of(in.op) == isa::Format::AluReg)
-                           ? read_operand(in.rm, pc)
-                           : static_cast<Word>(in.imm);
-        Word result = 0;
-        switch (in.op) {
-          case Op::AND: case Op::ANDI: result = a & b; break;
-          case Op::ORR: case Op::ORRI: result = a | b; break;
-          default: result = a ^ b; break;
-        }
-        state_.set_reg(in.rd, result);
-        if (in.set_flags) set_nz(result);
-        break;
-      }
-      case Op::LSL: case Op::LSLI:
-      case Op::LSR: case Op::LSRI:
-      case Op::ASR: case Op::ASRI: {
-        const Word a = read_operand(in.rn, pc);
-        const Word amount_raw = (isa::format_of(in.op) == isa::Format::AluReg)
-                                    ? read_operand(in.rm, pc)
-                                    : static_cast<Word>(in.imm);
-        const Word amount = amount_raw & 0xff;
-        Word result;
-        if (in.op == Op::LSL || in.op == Op::LSLI) {
-          result = amount >= 32 ? 0 : (a << amount);
-        } else if (in.op == Op::LSR || in.op == Op::LSRI) {
-          result = amount >= 32 ? 0 : (amount == 0 ? a : a >> amount);
-        } else {
-          const i32 sa = static_cast<i32>(a);
-          result =
-              static_cast<Word>(amount >= 32 ? (sa >> 31) : (sa >> amount));
-        }
-        state_.set_reg(in.rd, result);
-        if (in.set_flags) set_nz(result);
-        break;
-      }
-      case Op::CMP: case Op::CMPI:
-        alu_sub(read_operand(in.rn, pc),
-                in.op == Op::CMP ? read_operand(in.rm, pc)
-                                 : static_cast<Word>(in.imm),
-                true);
-        break;
-      case Op::CMN:
-        alu_add(read_operand(in.rn, pc), read_operand(in.rm, pc), true);
-        break;
-      case Op::TST: case Op::TSTI:
-        set_nz(read_operand(in.rn, pc) &
-               (in.op == Op::TST ? read_operand(in.rm, pc)
-                                 : static_cast<Word>(in.imm)));
-        break;
-      default:
-        // Unreachable while fuse metadata only covers fusible slots; fall
-        // back to the oracle step so a future drift is a slowdown, not a
-        // divergence. (execute() sets the pc; the set_pc below re-sets it
-        // to the same fallthrough address.)
-        execute(in, pc, SinksNone{}, ZeroCost{});
-        break;
-    }
-  }
-  state_.set_pc(pc);
 }
 
 }  // namespace raptrack::cpu

@@ -175,13 +175,10 @@ class Executor {
   template <typename Sinks, typename Cost>
   void execute(const isa::Instruction& instr, Address pc, const Sinks& sinks,
                const Cost& cost);
-  /// Retire `n` fusible slots starting at `slot`/`pc` as one superblock:
-  /// a reduced interpreter over exactly the isa::fusible_in_superblock()
-  /// subset (pure ALU/move/compare), semantically identical to execute()
-  /// per op but with the PC register written once at the window end instead
-  /// of per instruction. The caller has already done the sink decision,
-  /// batched trace tick, and cycle charge for the whole window.
-  void execute_fused_window(const isa::DecodedSlot* slot, u32 n, Address pc);
+  /// Step the `n` fusible slots of a fused window at `slot`/`pc` through
+  /// execute() with no sinks and no per-op cost; the caller does the sink
+  /// decision, batched trace tick and cycle charge for the whole window.
+  void step_fused(const isa::DecodedSlot* slot, u32 n, Address pc);
   template <typename Sinks>
   void branch_to(Address source, Address destination, isa::BranchKind kind,
                  const Sinks& sinks);

@@ -22,7 +22,7 @@ bool fusible_in_superblock(const Instruction& instr) {
 }
 
 DecodedImage::DecodedImage(Address base, std::span<const u8> bytes,
-                           const CycleModel& model, bool superblocks) {
+                           const CycleModel& model) {
   if (base % 4 != 0) {
     throw Error("DecodedImage: base " + hex32(base) + " is not word-aligned");
   }
@@ -30,6 +30,7 @@ DecodedImage::DecodedImage(Address base, std::span<const u8> bytes,
   const size_t words = bytes.size() / 4;
   end_ = base_ + static_cast<Address>(words * 4);
   slots_.resize(words);
+  fuse_.resize(words);
   for (size_t i = 0; i < words; ++i) {
     u32 word = 0;
     for (u32 b = 0; b < 4; ++b) {
@@ -53,22 +54,19 @@ DecodedImage::DecodedImage(Address base, std::span<const u8> bytes,
       slot.kind = SlotKind::Undefined;
     }
   }
-  if (superblocks && words > 0) {
-    // Build runs backward so each slot extends its successor's run. Every
-    // slot inside a run carries the length and suffix cycle sum to the run's
-    // end, which keeps the partial-cost formula (see FuseRun) exact even
-    // when execution enters a run mid-way (branch targets need no special
-    // casing: a jump into the middle of a run just sees a shorter run).
-    fuse_.resize(words);
-    for (size_t i = words; i-- > 0;) {
-      const DecodedSlot& slot = slots_[i];
-      if (slot.kind != SlotKind::Valid || !fusible_in_superblock(slot.instr)) {
-        continue;  // stays {0, 0}: terminates any run arriving from below
-      }
-      const FuseRun next = (i + 1 < words) ? fuse_[i + 1] : FuseRun{};
-      fuse_[i].len = next.len + 1;
-      fuse_[i].cycles = next.cycles + slot.cost_taken;
+  // Build runs backward so each slot extends its successor's run. Every
+  // slot inside a run carries the length and suffix cycle sum to the run's
+  // end, which keeps the partial-cost formula (see FuseRun) exact even when
+  // execution enters a run mid-way (branch targets need no special casing:
+  // a jump into the middle of a run just sees a shorter run).
+  for (size_t i = words; i-- > 0;) {
+    const DecodedSlot& slot = slots_[i];
+    if (slot.kind != SlotKind::Valid || !fusible_in_superblock(slot.instr)) {
+      continue;  // stays {0, 0}: terminates any run arriving from below
     }
+    const FuseRun next = (i + 1 < words) ? fuse_[i + 1] : FuseRun{};
+    fuse_[i].len = next.len + 1;
+    fuse_[i].cycles = next.cycles + slot.cost_taken;
   }
 }
 
@@ -83,9 +81,8 @@ void DecodedImage::invalidate(Address addr, u32 size) {
       slots_[i].kind = SlotKind::Undecoded;
       ++invalidations_;
     }
-    if (!fuse_.empty()) fuse_[i] = {};
+    fuse_[i] = {};
   }
-  if (fuse_.empty()) return;
   // Truncate every fused run that crossed into the invalidated range: walk
   // backward from `first`, shortening each run to end there and rebuilding
   // its suffix cycle sum from the (already rewritten) successor. Runs are

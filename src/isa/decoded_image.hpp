@@ -70,11 +70,10 @@ class DecodedImage {
  public:
   /// Predecode `bytes` as they sit at `base` (word-aligned; a trailing
   /// partial word is excluded from the cached range). `model` must be the
-  /// executing core's cycle model — per-slot costs are baked from it.
-  /// `superblocks` additionally builds the fused-run metadata; pass false
-  /// to force the per-slot path everywhere (ablation / debugging).
+  /// executing core's cycle model — per-slot costs are baked from it, and
+  /// so are the fused-run cycle sums.
   DecodedImage(Address base, std::span<const u8> bytes,
-               const CycleModel& model = {}, bool superblocks = true);
+               const CycleModel& model = {});
 
   Address base() const { return base_; }
   Address end() const { return end_; }
@@ -90,15 +89,12 @@ class DecodedImage {
   /// in place, so held pointers stay valid (and observe invalidations).
   const DecodedSlot* slots_begin() const { return slots_.data(); }
 
-  /// Parallel superblock array (same indexing as slots_begin()), or nullptr
-  /// when the image was built with superblocks disabled. Like the slot
-  /// array it is never reallocated; invalidate() rewrites entries in place,
-  /// so a held pointer observes truncations.
-  const FuseRun* fuse_begin() const {
-    return fuse_.empty() ? nullptr : fuse_.data();
-  }
+  /// Parallel superblock array (same indexing as slots_begin()). Like the
+  /// slot array it is never reallocated; invalidate() rewrites entries in
+  /// place, so a held pointer observes truncations.
+  const FuseRun* fuse_begin() const { return fuse_.data(); }
 
-  /// Fused run headed at an aligned, contained pc (superblocks enabled).
+  /// Fused run headed at an aligned, contained pc.
   const FuseRun& fuse_run(Address pc) const { return fuse_[(pc - base_) >> 2]; }
 
   /// A write of `size` bytes at `addr` landed somewhere in memory: drop any

@@ -79,8 +79,7 @@ void Machine::predecode(Address base, u32 size) {
     builds.inc();
   }
   const auto bytes = memory_.dump(base, size);
-  decoded_ = std::make_unique<isa::DecodedImage>(base, bytes, config_.cycle_model,
-                                                 config_.superblocks);
+  decoded_ = std::make_unique<isa::DecodedImage>(base, bytes, config_.cycle_model);
   isa::DecodedImage* image = decoded_.get();
   predecode_watch_ = bus_.watch_writes(
       base, size,

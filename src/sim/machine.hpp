@@ -24,11 +24,6 @@ struct MachineConfig {
   /// predecode() (normally at H_MEM time, after the NS-MPU lock). Off =
   /// every run takes the decode-per-step oracle path.
   bool fast_path = true;
-  /// Fuse straight-line runs of the predecoded image into superblocks that
-  /// retire as one unit (see DESIGN.md §17). Off = the fast path executes
-  /// strictly per-slot; only meaningful when fast_path is on. The ablation
-  /// knob for bench_throughput's fused-vs-slot rows.
-  bool superblocks = true;
 };
 
 class Machine {

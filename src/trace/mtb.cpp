@@ -22,7 +22,6 @@ Mtb::Mtb(mem::MemoryMap& sram, Address buffer_base, u32 buffer_bytes)
 }
 
 void Mtb::set_enabled(bool enabled) {
-  sync();
   enabled_ = enabled;
   if (!enabled) {
     started_ = false;
@@ -32,7 +31,6 @@ void Mtb::set_enabled(bool enabled) {
 }
 
 void Mtb::set_tstart_enable(bool always_on) {
-  sync();
   always_on_ = always_on;
   if (always_on) {
     started_ = true;
@@ -41,7 +39,6 @@ void Mtb::set_tstart_enable(bool always_on) {
 }
 
 void Mtb::set_watermark(u32 byte_offset) {
-  sync();  // staged packets were admitted against the old watermark
   if (byte_offset % BranchPacket::kBytes != 0) {
     throw Error("Mtb: watermark must be packet-aligned");
   }
@@ -54,37 +51,8 @@ void Mtb::set_watermark_handler(std::function<void()> handler) {
 }
 
 void Mtb::reset_position() {
-  sync();
   position_ = 0;
   wrapped_ = false;
-}
-
-void Mtb::flush_deferred() const {
-  // Straight-line materialization of the staged ring. Admission (on_branch)
-  // guaranteed that no intermediate offset hits the watermark and that the
-  // final offset is at most buffer_bytes_, so the only bookkeeping left is
-  // the end-of-buffer wrap.
-  u8* at = buffer_mem_ + position_;
-  for (u32 i = 0; i < pending_deferred_; ++i, at += BranchPacket::kBytes) {
-    const u32 src = deferred_[i][0];
-    const u32 dst = deferred_[i][1];
-    at[0] = static_cast<u8>(src);
-    at[1] = static_cast<u8>(src >> 8);
-    at[2] = static_cast<u8>(src >> 16);
-    at[3] = static_cast<u8>(src >> 24);
-    at[4] = static_cast<u8>(dst);
-    at[5] = static_cast<u8>(dst >> 8);
-    at[6] = static_cast<u8>(dst >> 16);
-    at[7] = static_cast<u8>(dst >> 24);
-  }
-  const u32 bytes = pending_deferred_ * BranchPacket::kBytes;
-  position_ += bytes;
-  total_bytes_ += bytes;
-  pending_deferred_ = 0;
-  if (position_ >= buffer_bytes_) {
-    position_ = 0;
-    wrapped_ = true;
-  }
 }
 
 void Mtb::write_packet(const BranchPacket& packet) {
@@ -117,7 +85,6 @@ void Mtb::write_packet(const BranchPacket& packet) {
 }
 
 u32 Mtb::read_register(u32 offset) const {
-  sync();
   switch (offset) {
     case kRegPosition:
       return (position_ & ~7u) | (wrapped_ ? 0x4u : 0u);
@@ -133,7 +100,6 @@ u32 Mtb::read_register(u32 offset) const {
 }
 
 void Mtb::write_register(u32 offset, u32 value) {
-  sync();
   switch (offset) {
     case kRegPosition:
       position_ = value & ~7u;
@@ -155,8 +121,9 @@ void Mtb::write_register(u32 offset, u32 value) {
 }
 
 void Mtb::corrupt_stored_word(u32 byte_offset, u32 mask) {
-  sync();  // the upset must hit whatever the eager path would have stored
-  if (byte_offset % 4 != 0 || byte_offset + 4 > buffer_bytes_) {
+  // buffer_bytes_ >= 8 (constructor), so the subtraction cannot wrap; the
+  // sum byte_offset + 4 could, letting 0xFFFFFFFC through.
+  if (byte_offset % 4 != 0 || byte_offset > buffer_bytes_ - 4) {
     throw Error("Mtb: corrupt_stored_word offset out of range");
   }
   const Address at = buffer_base_ + byte_offset;
@@ -180,7 +147,6 @@ void Mtb::append_log_bytes(std::vector<u8>& out) const {
 }
 
 PacketLog Mtb::read_log() const {
-  sync();
   PacketLog log;
   const u32 valid_bytes = wrapped_ ? buffer_bytes_ : position_;
   log.reserve(valid_bytes / BranchPacket::kBytes);

@@ -53,23 +53,14 @@ class Mtb {
 
   /// POSITION register: current write offset in bytes. reset_position()
   /// reuses the same buffer after a partial report (§IV-E).
-  u32 position() const {
-    sync();
-    return position_;
-  }
+  u32 position() const { return position_; }
   void reset_position();
 
-  bool wrapped() const {
-    sync();
-    return wrapped_;
-  }
+  bool wrapped() const { return wrapped_; }
 
   /// Total bytes ever written (across wraps/resets) — the CF_Log volume
   /// metric of Figures 1(a) and 9.
-  u64 total_bytes_written() const {
-    sync();
-    return total_bytes_;
-  }
+  u64 total_bytes_written() const { return total_bytes_; }
   u64 packets_recorded() const {
     return total_bytes_written() / BranchPacket::kBytes;
   }
@@ -120,32 +111,12 @@ class Mtb {
     }
   }
 
-  /// Non-sequential PC change. Records a packet iff tracing is live. Under
-  /// an active DeferScope the packet is staged in a small local ring and
-  /// flushed to SRAM lazily (see sync()); packets whose write would reach
-  /// the watermark or wrap the buffer are still written eagerly so the
-  /// watermark handler and wrap bookkeeping fire at exactly the same event
-  /// as on the undeferred path.
+  /// Non-sequential PC change. Records a packet iff tracing is live.
   void on_branch(Address source, Address destination, isa::BranchKind kind) {
     (void)kind;
     if (!tracing()) return;
     BranchPacket packet{source, destination, restart_pending_};
     restart_pending_ = false;
-    if (defer_) {
-      if (pending_deferred_ == kDeferRing) flush_deferred();
-      // position_ is frozen while packets are pending, so each staged
-      // packet's end offset is exact. A packet that would land on the
-      // watermark or past the buffer end takes the eager path below.
-      const u32 end =
-          position_ + (pending_deferred_ + 1) * BranchPacket::kBytes;
-      if (end <= buffer_bytes_ && end != watermark_) {
-        deferred_[pending_deferred_][0] = packet.source_word();
-        deferred_[pending_deferred_][1] = packet.destination_word();
-        ++pending_deferred_;
-        return;
-      }
-      flush_deferred();
-    }
     write_packet(packet);
   }
 
@@ -168,10 +139,7 @@ class Mtb {
   void append_log_bytes(std::vector<u8>& out) const;
 
   /// Bytes append_log_bytes() would add (= packets-in-log * kBytes).
-  u32 log_bytes() const {
-    sync();
-    return wrapped_ ? buffer_bytes_ : position_;
-  }
+  u32 log_bytes() const { return wrapped_ ? buffer_bytes_ : position_; }
 
   Address buffer_base() const { return buffer_base_; }
   u32 buffer_bytes() const { return buffer_bytes_; }
@@ -202,49 +170,10 @@ class Mtb {
   void corrupt_stored_word(u32 byte_offset, u32 mask);
 
   /// Bytes of the buffer currently holding live (unread) packets.
-  u32 live_bytes() const {
-    sync();
-    return wrapped_ ? buffer_bytes_ : position_;
-  }
-
-  // -- deferred emission (executor fast path) --------------------------------
-
-  /// RAII scope enabling deferred packet emission. Created only by the
-  /// executor around a fast-path run whose sole packet consumer is the
-  /// fabric itself — code that drives on_branch() by hand and then reads
-  /// the SRAM directly (tests, injectors) never sees deferral. While the
-  /// scope is active, all externally observable MTB state (registers, log
-  /// reads, byte counters, SRAM corruption) flushes pending packets first,
-  /// so the stored wire bytes are indistinguishable from eager emission.
-  class DeferScope {
-   public:
-    explicit DeferScope(Mtb& mtb) : mtb_(&mtb), prev_(mtb.defer_) {
-      // Only buffers with directly addressable backing memory can defer:
-      // flush_deferred() writes through buffer_mem_.
-      mtb_->defer_ = mtb.buffer_mem_ != nullptr;
-    }
-    ~DeferScope() {
-      mtb_->sync();
-      mtb_->defer_ = prev_;
-    }
-    DeferScope(const DeferScope&) = delete;
-    DeferScope& operator=(const DeferScope&) = delete;
-
-   private:
-    Mtb* mtb_;
-    bool prev_;
-  };
-
-  /// Flush any deferred packets to SRAM. Const because deferral is a pure
-  /// cache of not-yet-materialized writes: every const reader calls this
-  /// first, so logical state never depends on flush timing.
-  void sync() const {
-    if (pending_deferred_ != 0) flush_deferred();
-  }
+  u32 live_bytes() const { return wrapped_ ? buffer_bytes_ : position_; }
 
  private:
   void write_packet(const BranchPacket& packet);
-  void flush_deferred() const;
 
   mem::MemoryMap* sram_;
   Address buffer_base_;
@@ -258,19 +187,11 @@ class Mtb {
   u32 activation_latency_ = 1;
   u32 pending_activation_ = 0;  // instructions until tracing goes live
   bool restart_pending_ = true; // next packet carries the A-bit
-  // position_/wrapped_/total_bytes_ are mutable because flush_deferred()
-  // materializes staged packets from const readers (the lazy-write cache
-  // idiom): deferral never changes what any reader observes, only when the
-  // underlying byte stores happen.
-  mutable u32 position_ = 0;
-  mutable bool wrapped_ = false;
+  u32 position_ = 0;
+  bool wrapped_ = false;
   u32 watermark_ = 0;
   std::function<void()> watermark_handler_;
-  mutable u64 total_bytes_ = 0;
-  bool defer_ = false;
-  static constexpr u32 kDeferRing = 32;
-  mutable u32 deferred_[kDeferRing][2]{};  // staged {source, destination} words
-  mutable u32 pending_deferred_ = 0;
+  u64 total_bytes_ = 0;
   u64 tstart_events_ = 0;
   u64 tstop_events_ = 0;
   u64 watermark_events_ = 0;

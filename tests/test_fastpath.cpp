@@ -524,21 +524,9 @@ TEST(Superblock, RandomInvalidationsKeepFuseMetadataRebuildExact) {
   }
 }
 
-TEST(Superblock, DisabledSuperblocksPublishNoFuseMetadata) {
-  const Program program = testing::fuzz_program(7);
-  isa::DecodedImage fused(program.base(), program.bytes());
-  isa::DecodedImage plain(program.base(), program.bytes(), {},
-                          /*superblocks=*/false);
-  EXPECT_NE(fused.fuse_begin(), nullptr);
-  EXPECT_EQ(plain.fuse_begin(), nullptr);
-  // And invalidate() on the plain image must not touch fuse state.
-  plain.invalidate(program.base() + 8, 4);
-  EXPECT_EQ(plain.fuse_begin(), nullptr);
-}
-
 /// Core wired to a real TraceFabric (MTB in always-on mode over a small
-/// wrap-prone buffer + DWT), the configuration where the fast path defers
-/// MTB packet emission and fuses through DWT-inert windows.
+/// wrap-prone buffer + DWT), the configuration where the fast path fuses
+/// through DWT-inert windows while the MTB records every branch.
 struct FabricCore {
   mem::MemoryMap map = mem::MemoryMap::make_default();
   mem::Bus bus{map};
@@ -567,12 +555,12 @@ struct FabricCore {
   }
 };
 
-TEST(Superblock, DeferredMtbEmissionIsByteIdenticalToEager) {
-  // The eager reference is the oracle run (per-step sink dispatch writes
-  // each packet straight to SRAM); the fast run batches emission in the
-  // deferral ring and flushes at window/drain boundaries. The paper's
-  // attestation evidence is the raw MTB SRAM content, so the comparison is
-  // at the byte level, wrap and A-bits included.
+TEST(Superblock, FusedFabricRunsWriteMtbSramByteIdenticalToOracle) {
+  // The reference is the oracle run (per-step sink dispatch, no fusion);
+  // the fast run retires DWT-inert windows in batches and ticks the MTB
+  // activation countdown once per window. The paper's attestation evidence
+  // is the raw MTB SRAM content, so the comparison is at the byte level,
+  // wrap and A-bits included.
   u64 total_fused = 0;
   u64 total_packets = 0;
   for (u64 seed = 1; seed <= 150; ++seed) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hpp"
+#include "common/rng.hpp"
 #include "cpu/executor.hpp"
 #include "mem/bus.hpp"
 #include "trace/dwt.hpp"
@@ -166,6 +167,72 @@ TEST(Dwt, WatchpointComparatorFires) {
   EXPECT_EQ(hit, 0x1234u);
 }
 
+// Property: inert_window(lo, hi) == true must mean observe() is a no-op at
+// every pc in [lo, hi) — the executor's superblock path retires such a
+// window without calling observe() at all. Random comparator banks (ranges,
+// watchpoints, unaligned addresses, limits below their base), programmed
+// through either configure() or the register interface, each paired with
+// random windows and a random started/stopped MTB.
+TEST(Dwt, InertWindowMeansObserveChangesNothing) {
+  constexpr Address kLo = 0x2000;
+  constexpr u32 kSpanWords = 256;
+  u64 inert = 0;
+  u64 live = 0;
+  mem::MemoryMap map = mem::MemoryMap::make_default();
+  for (u64 seed = 1; seed <= 400; ++seed) {
+    Xoshiro256 rng(seed * 0x9e3779b97f4a7c15ull);
+    Mtb mtb(map, mem::MapLayout::kMtbSramBase, 64);
+    mtb.set_enabled(true);
+    mtb.set_activation_latency(0);
+    Dwt dwt(mtb);
+    u64 watch_hits = 0;
+    dwt.set_watchpoint_handler([&](Address) { ++watch_hits; });
+
+    for (unsigned i = 0; i < Dwt::kNumComparators; ++i) {
+      const auto action = static_cast<ComparatorAction>(rng.next_below(6));
+      // Near the window span (so ranges and watchpoints straddle window
+      // edges), word-aligned or not.
+      Address address = kLo - 64 + 4 * static_cast<Address>(
+                                           rng.next_below(kSpanWords + 32));
+      if (rng.chance(1, 4)) address += 1 + static_cast<Address>(rng.next_below(3));
+      if (rng.chance(1, 2)) {
+        dwt.configure(i, {action, address});
+      } else {
+        dwt.write_register(i * Dwt::kCompStride + Dwt::kRegComp, address);
+        dwt.write_register(i * Dwt::kCompStride + Dwt::kRegFunction,
+                           static_cast<u32>(action));
+      }
+    }
+
+    for (int w = 0; w < 32; ++w) {
+      if (rng.chance(1, 2)) {
+        mtb.tstart();
+      } else {
+        mtb.tstop();
+      }
+      const Address lo =
+          kLo + 4 * static_cast<Address>(rng.next_below(kSpanWords));
+      const Address hi = lo + 4 * (1 + static_cast<Address>(rng.next_below(32)));
+      if (!dwt.inert_window(lo, hi)) {
+        ++live;
+        continue;
+      }
+      ++inert;
+      const bool tracing = mtb.tracing();
+      const u64 starts = mtb.tstart_events();
+      const u64 stops = mtb.tstop_events();
+      for (Address pc = lo; pc < hi; pc += 4) dwt.observe(pc);
+      ASSERT_EQ(watch_hits, 0u) << "seed " << seed << " window " << lo;
+      ASSERT_EQ(mtb.tracing(), tracing) << "seed " << seed << " window " << lo;
+      ASSERT_EQ(mtb.tstart_events(), starts) << "seed " << seed;
+      ASSERT_EQ(mtb.tstop_events(), stops) << "seed " << seed;
+    }
+  }
+  // Both answers must be common, or the property is vacuous.
+  EXPECT_GT(inert, 1'000u);
+  EXPECT_GT(live, 1'000u);
+}
+
 // End-to-end §IV-B semantics on a real executor: branches from MTBDR into
 // MTBAR are not recorded; branches inside and out of MTBAR are.
 TEST(TraceFabric, MtbarEntryUnrecordedExitRecorded) {
@@ -198,6 +265,29 @@ slot:
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].source, slot + 4);
   EXPECT_EQ(log[0].destination, *p.symbol("back"));
+}
+
+TEST(Mtb, CorruptStoredWordRejectsOffsetsOutsideTheBuffer) {
+  // Buffer placed mid-region so the SRAM words on both sides are mapped and
+  // an out-of-range upset would land on them rather than fault.
+  mem::MemoryMap map = mem::MemoryMap::make_default();
+  constexpr Address kBase = mem::MapLayout::kMtbSramBase + 64;
+  constexpr u32 kBytes = 64;
+  Mtb mtb(map, kBase, kBytes);
+  map.raw_write32(kBase - 4, 0x1111'1111u);
+  map.raw_write32(kBase + kBytes, 0x2222'2222u);
+
+  // 0xFFFFFFFC + 4 wraps to 0 in u32 arithmetic.
+  EXPECT_THROW(mtb.corrupt_stored_word(0xFFFF'FFFCu, 0xFFFF'FFFFu), Error);
+  EXPECT_THROW(mtb.corrupt_stored_word(kBytes - 2, 0xFFFF'FFFFu), Error);
+  EXPECT_THROW(mtb.corrupt_stored_word(kBytes, 0xFFFF'FFFFu), Error);
+  EXPECT_EQ(map.raw_read32(kBase - 4), 0x1111'1111u);
+  EXPECT_EQ(map.raw_read32(kBase + kBytes), 0x2222'2222u);
+
+  // The last word of the buffer is still in range.
+  mtb.corrupt_stored_word(kBytes - 4, 0x0000'00FFu);
+  EXPECT_EQ(map.raw_read32(kBase + kBytes - 4), 0x0000'00FFu);
+  EXPECT_EQ(map.raw_read32(kBase + kBytes), 0x2222'2222u);
 }
 
 // -- register-level interface (MTB-M33 TRM layout) ---------------------------

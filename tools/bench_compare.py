@@ -13,13 +13,15 @@ Two bench schemas are understood, keyed on the top-level "bench" field
                      workers_requested); throughput compared on
                      reports_per_s.
   sim_throughput     rows matched on (app, method, path) where path is
-                     oracle/slot/fast; throughput compared on mips.
+                     oracle/fast; throughput compared on mips.
 
 A row whose candidate throughput drops more than --threshold percent
 (default 10) below the baseline is a regression; the script prints every
-regressed row and exits nonzero so CI can gate on it. Rows present on only
-one side are reported but never fatal (the grid legitimately grows with new
-modes).
+regressed row and exits nonzero so CI can gate on it. A baseline row with
+no candidate counterpart is fatal too: a row leaves the grid only through an
+explicit edit of the baseline file, never by a bench silently dropping it.
+Rows only in the candidate are reported but not fatal (the grid legitimately
+grows with new modes).
 
 Absolute MIPS/reports-per-s columns depend on the host the bench ran on, so
 cross-host comparisons can trip the percent gate spuriously. The
@@ -231,11 +233,12 @@ def main() -> int:
     cand = index_rows(cand_doc, args.candidate)
 
     regressions = []
+    missing = []
     improved = 0
     for key, base_row in sorted(base.items()):
         cand_row = cand.get(key)
         if cand_row is None:
-            print(f"note: row only in baseline: {fmt_key(key)}")
+            missing.append(fmt_key(key))
             continue
         before = base_row[metric]
         after = cand_row[metric]
@@ -268,6 +271,8 @@ def main() -> int:
     print(f"compared {len(set(base) & set(cand))} rows: "
           f"{len(regressions)} regressed beyond {args.threshold:.0f}%, "
           f"{improved} improved beyond it")
+    for line in missing:
+        print(f"MISSING: row only in baseline: {line}")
     for line in regressions:
         print(f"REGRESSION: {line}")
     for line in speedup_failures:
@@ -276,8 +281,8 @@ def main() -> int:
         print(f"HIT RATE MISSED: {line}")
     for line in geomean_failures:
         print(f"GEOMEAN MISSED: {line}")
-    return 1 if (regressions or speedup_failures or hit_rate_failures or
-                 geomean_failures) else 0
+    return 1 if (regressions or missing or speedup_failures or
+                 hit_rate_failures or geomean_failures) else 0
 
 
 if __name__ == "__main__":

@@ -314,6 +314,21 @@ struct FingerprintObs {
   }
 };
 
+/// Greedy-first telemetry for RAP replay: one `greedy_passes` per greedy
+/// engine run, one `search_passes` per checkpointed-search engine run (the
+/// greedy parse failed, or a frontier-influenced search reran detached).
+struct ReplayPassObs {
+  obs::Counter greedy =
+      obs::registry().counter("verify.replay.greedy_passes");
+  obs::Counter search =
+      obs::registry().counter("verify.replay.search_passes");
+
+  static ReplayPassObs& get() {
+    static ReplayPassObs metrics;
+    return metrics;
+  }
+};
+
 }  // namespace
 
 PathReplayer::PathReplayer(const Program& program, Address entry,
@@ -335,12 +350,15 @@ PathReplayer::PathReplayer(const Deployment& deployment)
 // conditional site, "next packet not from this site's slot" proves the
 // branch went the unlogged way, but "next packet from this slot" may belong
 // to a *later* dynamic instance reached entirely through unlogged edges
-// (e.g. a leaf call/return cycle). The engine therefore checkpoints those
-// decisions, takes the greedy reading first, and backtracks on any
-// downstream reconstruction failure — the log as a whole admits exactly one
-// consistent parse for honest evidence. Naive mode needs no checkpoints
-// (every cycle contains a logged taken branch), nor does TRACES (one
-// direction bit per dynamic instance).
+// (e.g. a leaf call/return cycle). The greedy reading — attribute the packet
+// to the current instance — is right on genuine executions, so each RAP pass
+// first runs the engine in greedy mode: no checkpoints, no state hashing.
+// Only when that parse fails does the checkpointed search run, which takes
+// the same greedy reading first and backtracks on any downstream
+// reconstruction failure — the log as a whole admits exactly one consistent
+// parse for honest evidence. Naive mode needs no checkpoints (every cycle
+// contains a logged taken branch), nor does TRACES (one direction bit per
+// dynamic instance).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -353,7 +371,8 @@ class ReplayEngine {
                const std::vector<trace::OracleEvent>* script = nullptr,
                bool strict = false, MemoCache* memo = nullptr,
                bool use_frontier = true,
-               bool* chain_fp_valid = nullptr, u64* chain_fp_slot = nullptr)
+               bool* chain_fp_valid = nullptr, u64* chain_fp_slot = nullptr,
+               bool greedy = false)
       : index_(index),
         mode_(mode),
         policy_(policy),
@@ -361,6 +380,7 @@ class ReplayEngine {
         max_steps_(max_steps),
         script_(script),
         strict_(strict),
+        greedy_(greedy),
         memo_(script == nullptr ? memo : nullptr),
         use_frontier_(use_frontier),
         chain_fp_valid_(chain_fp_valid),
@@ -394,6 +414,22 @@ class ReplayEngine {
     return frontier_hit_taken_ || used_shared_failure_;
   }
 
+  /// Is this failed greedy pass exactly what the checkpointed search would
+  /// return? Until its first backtrack the search makes the greedy pass's
+  /// decisions step for step, so it returns the same failure when it can
+  /// never backtrack: the budget ran out (run() does not backtrack on
+  /// exhaustion), or no site on the path would have saved a checkpoint.
+  /// Frontier influence voids both arguments (see frontier_influenced).
+  bool greedy_failure_final() const {
+    return !frontier_influenced() &&
+           (budget_exhausted_ || !skipped_checkpoint_);
+  }
+
+  /// Did any explored path raise an attack finding? Strictness changes
+  /// nothing else about a run without the frontier (the only other state
+  /// keyed on it), so a finding-free run is what the other pass would do.
+  bool saw_finding() const { return saw_finding_; }
+
  private:
   /// Mutable cursor/valuation state captured at a checkpoint.
   struct Snapshot {
@@ -408,7 +444,6 @@ class ReplayEngine {
     u64 steps, index_hits, index_fallbacks;
     size_t journal_size;   ///< frontier journal high-water mark to truncate to
     bool forced_decision;  ///< the alternative to take after restoring
-    u64 state_hash;        ///< pre-decision state (for the failure memo)
   };
 
   // -- state ---------------------------------------------------------------
@@ -425,6 +460,16 @@ class ReplayEngine {
   /// searches for a finding-free (benign) parse first. The lenient second
   /// pass reports findings only when no benign parse exists.
   bool strict_;
+  /// Greedy pass: ambiguous RAP sites take the greedy reading and save no
+  /// checkpoint, so the first failure ends the run (see
+  /// PathReplayer::replay).
+  bool greedy_;
+  /// The greedy pass crossed a site where the search saves a checkpoint.
+  bool skipped_checkpoint_ = false;
+  /// The run ended on the step budget, not on a reconstruction failure.
+  bool budget_exhausted_ = false;
+  /// Some explored path raised an attack finding.
+  bool saw_finding_ = false;
 
   Address pc_ = 0;
   Valuation val_;
@@ -739,6 +784,7 @@ class ReplayEngine {
     // strict and lenient passes can share the cache (finding-free segments
     // behave identically in both).
     rec_.active = false;
+    saw_finding_ = true;
     if (strict_) {
       fail("strict pass: " + finding.description);
       return;
@@ -826,7 +872,7 @@ class ReplayEngine {
                             result_.events.size(), result_.findings.size(),
                             pre_step_steps_, pre_step_index_hits_,
                             pre_step_index_fallbacks_, journal_.size(),
-                            alternative, state_hash()});
+                            alternative});
   }
 
   /// Restore the most recent checkpoint and arm its alternative decision.
@@ -834,15 +880,6 @@ class ReplayEngine {
     if (checkpoints_.empty() || backtracks_ >= kMaxBacktracks) return false;
     rec_.active = false;  // the recording anchor no longer matches the state
     ++backtracks_;
-    // The greedy branch of this checkpoint failed: memoize (state, greedy
-    // decision) so equivalent states elsewhere fail immediately. The greedy
-    // decision is the negation of the armed alternative.
-    const bool failed_decision = !checkpoints_.back().forced_decision;
-    failed_states_.insert(checkpoints_.back().state_hash ^
-                          (failed_decision ? 1u : 0u));
-    if (failed_states_.size() > kMaxFailedStates) {
-      failed_states_.erase(failed_states_.begin());
-    }
     Snapshot snap = std::move(checkpoints_.back());
     checkpoints_.pop_back();
     pc_ = snap.pc;
@@ -860,11 +897,21 @@ class ReplayEngine {
     journal_.resize(snap.journal_size);
     forced_decision_ = snap.forced_decision;
     pending_failure_.clear();
-    // The restored state IS the checkpoint's pre-decision state, so this is
-    // the one place the frontier key for "greedy from here is a dead branch"
-    // can be computed exactly. Promote it to the shared cache — unless a
-    // frontier hit was taken earlier in this engine (under a collision the
-    // exploration below the hit would not have been exhaustive).
+    // The greedy branch of this checkpoint failed: memoize (state, greedy
+    // decision) so equivalent states elsewhere fail immediately. The greedy
+    // decision is the negation of the armed alternative, and the restored
+    // state IS the checkpoint's pre-decision state, so its hash is the key
+    // decide_conditional looks up when it meets that state again.
+    const bool failed_decision = !snap.forced_decision;
+    failed_states_.insert(state_hash() ^ (failed_decision ? 1u : 0u));
+    if (failed_states_.size() > kMaxFailedStates) {
+      failed_states_.erase(failed_states_.begin());
+    }
+    // For the same reason this is the one place the frontier key for
+    // "greedy from here is a dead branch" can be computed exactly. Promote
+    // it to the shared cache — unless a frontier hit was taken earlier in
+    // this engine (under a collision the exploration below the hit would
+    // not have been exhaustive).
     if (frontier_active() && !frontier_hit_taken_) {
       FrontierEntry promo = frontier_guards();
       promo.failed_mask = failed_decision ? u8{2} : u8{1};
@@ -924,12 +971,17 @@ class ReplayEngine {
           // a splice-time-revalidated guard: a frontier decision-hit, and
           // the clean checkpoint commit (whose guard only becomes
           // spliceable once this engine completes and promotes the
-          // journaled decision).
-          const u64 here = state_hash();
-          const u64 greedy_key = here ^ (logged_direction ? 1u : 0u);
-          const u64 alt_key = here ^ (logged_direction ? 0u : 1u);
-          bool greedy_failed = failed_states_.count(greedy_key) != 0;
-          bool alt_failed = failed_states_.count(alt_key) != 0;
+          // journaled decision). The failure memo fills only on backtrack,
+          // so the state is hashed only once a search has backtracked.
+          bool greedy_failed = false;
+          bool alt_failed = false;
+          if (!failed_states_.empty()) {
+            const u64 here = state_hash();
+            greedy_failed =
+                failed_states_.count(here ^ (logged_direction ? 1u : 0u)) != 0;
+            alt_failed =
+                failed_states_.count(here ^ (logged_direction ? 0u : 1u)) != 0;
+          }
           FrontierEntry guards;
           bool have_guards = false;
           if (frontier_consult_ok()) {
@@ -1020,7 +1072,13 @@ class ReplayEngine {
                                          /*failed_mask=*/0);
           }
           rec_.active = false;
-          if (!alt_failed) save_checkpoint(/*alternative=*/!logged_direction);
+          if (!alt_failed) {
+            if (greedy_) {
+              skipped_checkpoint_ = true;
+            } else {
+              save_checkpoint(/*alternative=*/!logged_direction);
+            }
+          }
           journal_decision(logged_direction, have_guards ? &guards : nullptr);
           if (record_guard) {
             rec_.active = true;
@@ -1587,6 +1645,7 @@ ReplayResult ReplayEngine::run() {
     if (!pending_failure_.empty() && !backtrack()) break;
   }
   if (pending_failure_.empty() && result_.steps >= max_steps_) {
+    budget_exhausted_ = true;
     fail("replay step budget exceeded");
   }
   result_.failure = pending_failure_;
@@ -1623,34 +1682,62 @@ ReplayResult PathReplayer::replay(const ReplayInputs& inputs, u64 max_steps) {
   // needs the fingerprint recomputes it once for every pass and retry.
   if (!chain_fp_seeded_) chain_fp_valid_ = false;
   chain_fp_seeded_ = false;
-  // One search pass (strict or lenient). A pass that fails *after being
-  // steered by shared frontier state* is re-run with the frontier detached:
-  // a genuine frontier hit guarantees completion (the recorded decision led
-  // to a full parse from an identical total state), so an influenced failure
-  // means shared dead-branch pruning changed which dead end surfaces first
-  // (or a fingerprint collision occurred) — the retry reproduces the
-  // unmemoized failure byte-for-byte. Completing passes never pay this; the
-  // sub-path memo stays attached throughout (its on/off equivalence is
-  // unconditional).
+  // One pass (strict or lenient). RAP passes first run the engine greedily:
+  // no checkpoints, no state hashing. Until its first backtrack the search
+  // decides exactly as the greedy pass does, so a completing greedy pass is
+  // the pass result, and so is a failing one the search provably could not
+  // change (ReplayEngine::greedy_failure_final). Otherwise the checkpointed
+  // search runs. A search that fails *after being steered by shared
+  // frontier state* is re-run with the frontier detached: a genuine
+  // frontier hit guarantees completion (the recorded decision led to a full
+  // parse from an identical total state), so an influenced failure means
+  // shared dead-branch pruning changed which dead end surfaces first (or a
+  // fingerprint collision occurred) — the retry reproduces the unmemoized
+  // failure byte-for-byte. Completing passes never pay this; the sub-path
+  // memo stays attached throughout (its on/off equivalence is
+  // unconditional). `saw_finding` records whether the engine whose result
+  // the pass returns met a finding.
+  bool saw_finding = false;
   const auto run_pass = [&](bool strict) {
-    ReplayEngine engine(*index, entry_, mode_, policy_, inputs, max_steps,
-                        nullptr, strict, memo_, use_frontier_,
-                        &chain_fp_valid_, &chain_fp_);
-    ReplayResult result = engine.run();
-    if (!result.complete && engine.frontier_influenced()) {
-      ReplayEngine retry(*index, entry_, mode_, policy_, inputs, max_steps,
-                         nullptr, strict, memo_, /*use_frontier=*/false,
-                         &chain_fp_valid_, &chain_fp_);
-      result = retry.run();
+    // Every engine made here runs exactly once, so counting at creation
+    // counts passes.
+    const auto make_engine = [&](bool use_frontier, bool greedy) {
+      if constexpr (obs::kEnabled) {
+        if (mode_ == ReplayMode::Rap) {
+          (greedy ? ReplayPassObs::get().greedy : ReplayPassObs::get().search)
+              .inc();
+        }
+      }
+      return ReplayEngine(*index, entry_, mode_, policy_, inputs, max_steps,
+                          nullptr, strict, memo_, use_frontier,
+                          &chain_fp_valid_, &chain_fp_, greedy);
+    };
+    if (mode_ == ReplayMode::Rap) {
+      ReplayEngine greedy = make_engine(use_frontier_, /*greedy=*/true);
+      ReplayResult result = greedy.run();
+      saw_finding = greedy.saw_finding();
+      if (result.complete || greedy.greedy_failure_final()) return result;
+    }
+    ReplayEngine search = make_engine(use_frontier_, /*greedy=*/false);
+    ReplayResult result = search.run();
+    saw_finding = search.saw_finding();
+    if (!result.complete && search.frontier_influenced()) {
+      // Only with the frontier on, where `saw_finding` is not consulted.
+      result = make_engine(/*use_frontier=*/false, /*greedy=*/false).run();
     }
     return result;
   };
   // Pass 1 (strict): search for a finding-free parse — a benign execution
   // consistent with the evidence. Only when none exists does the lenient
   // pass attribute findings (the verifier accuses only when every parse of
-  // the evidence is malicious).
+  // the evidence is malicious). A failed strict pass that met no finding
+  // with the frontier off is already the lenient pass's result: the
+  // lenient engines would retrace it step for step.
   ReplayResult strict_result = run_pass(/*strict=*/true);
-  if (strict_result.complete) return strict_result;
+  const bool frontier_off = memo_ == nullptr || !use_frontier_;
+  if (strict_result.complete || (frontier_off && !saw_finding)) {
+    return strict_result;
+  }
   return run_pass(/*strict=*/false);
 }
 

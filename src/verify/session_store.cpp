@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <map>
 
 #include "common/crc32.hpp"
@@ -62,6 +63,17 @@ struct SnapReader {
 
 }  // namespace
 
+size_t SessionStore::ChallengeHash::operator()(
+    const cfa::Challenge& chal) const noexcept {
+  // Challenges are verifier-drawn nonces: folding both halves is enough.
+  static_assert(sizeof(cfa::Challenge) == 2 * sizeof(u64));
+  u64 lo = 0;
+  u64 hi = 0;
+  std::memcpy(&lo, chal.data(), sizeof(lo));
+  std::memcpy(&hi, chal.data() + sizeof(lo), sizeof(hi));
+  return static_cast<size_t>((lo ^ std::rotl(hi, 29)) * 0x9e3779b97f4a7c15ull);
+}
+
 SessionStore::SessionStore(size_t shard_count)
     : shards_(std::bit_ceil(std::max<size_t>(shard_count, 1))) {}
 
@@ -69,10 +81,7 @@ void SessionStore::issue(DeviceId device, const cfa::Challenge& chal) {
   Shard& shard = shard_for(device);
   std::lock_guard lock(shard.mu);
   DeviceSessions& sessions = shard.devices[device];
-  if (std::find(sessions.used.begin(), sessions.used.end(), chal) !=
-      sessions.used.end()) {
-    return;  // consumed challenges never come back
-  }
+  if (sessions.is_used(chal)) return;  // consumed challenges never come back
   if (std::find(sessions.outstanding.begin(), sessions.outstanding.end(),
                 chal) == sessions.outstanding.end()) {
     sessions.outstanding.push_back(chal);
@@ -87,10 +96,7 @@ SessionStore::ChallengeState SessionStore::state(
   if (it == shard.devices.end()) return ChallengeState::Unknown;
   const DeviceSessions& sessions = it->second;
   // Used wins: a challenge somehow present in both lists must stay dead.
-  if (std::find(sessions.used.begin(), sessions.used.end(), chal) !=
-      sessions.used.end()) {
-    return ChallengeState::Used;
-  }
+  if (sessions.is_used(chal)) return ChallengeState::Used;
   if (std::find(sessions.outstanding.begin(), sessions.outstanding.end(),
                 chal) != sessions.outstanding.end()) {
     return ChallengeState::Outstanding;
@@ -108,30 +114,33 @@ bool SessionStore::consume(DeviceId device, const cfa::Challenge& chal) {
                              sessions.outstanding.end(), chal);
   if (pos == sessions.outstanding.end()) return false;
   sessions.outstanding.erase(pos);
-  sessions.used.push_back(chal);
+  sessions.mark_used(chal);
   return true;
 }
 
 std::vector<u8> SessionStore::serialize() const {
-  // Collect per-device state under the shard locks, sorted by device id so
-  // the blob is deterministic regardless of hash-map iteration order.
-  std::map<DeviceId, DeviceSessions> devices;
+  // Encode each device under its shard lock, keyed by device id so the blob
+  // is deterministic regardless of hash-map iteration order.
+  std::map<DeviceId, std::vector<u8>> devices;
   for (const Shard& shard : shards_) {
     std::lock_guard lock(shard.mu);
-    for (const auto& [id, sessions] : shard.devices) devices[id] = sessions;
+    for (const auto& [id, sessions] : shard.devices) {
+      std::vector<u8>& rec = devices[id];
+      put_u64(rec, id);
+      put_u32(rec, static_cast<u32>(sessions.outstanding.size()));
+      for (const auto& chal : sessions.outstanding) {
+        rec.insert(rec.end(), chal.begin(), chal.end());
+      }
+      put_u32(rec, static_cast<u32>(sessions.used.size()));
+      for (const auto& chal : sessions.used) {
+        rec.insert(rec.end(), chal.begin(), chal.end());
+      }
+    }
   }
   std::vector<u8> out(std::begin(kSnapshotMagic), std::end(kSnapshotMagic));
   put_u32(out, static_cast<u32>(devices.size()));
-  for (const auto& [id, sessions] : devices) {
-    put_u64(out, id);
-    put_u32(out, static_cast<u32>(sessions.outstanding.size()));
-    for (const auto& chal : sessions.outstanding) {
-      out.insert(out.end(), chal.begin(), chal.end());
-    }
-    put_u32(out, static_cast<u32>(sessions.used.size()));
-    for (const auto& chal : sessions.used) {
-      out.insert(out.end(), chal.begin(), chal.end());
-    }
+  for (const auto& entry : devices) {
+    out.insert(out.end(), entry.second.begin(), entry.second.end());
   }
   put_u32(out, crc32(out));
   return out;
@@ -163,7 +172,7 @@ bool SessionStore::deserialize(std::span<const u8> bytes) {
     const u32 used_count = reader.u32_value();
     for (u32 i = 0; i < used_count && !reader.failed; ++i) {
       cfa::Challenge chal{};
-      if (reader.chal_value(chal)) sessions.used.push_back(chal);
+      if (reader.chal_value(chal)) sessions.mark_used(chal);
     }
     devices[id] = std::move(sessions);
   }

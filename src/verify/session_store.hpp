@@ -12,6 +12,7 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cfa/report.hpp"
@@ -67,9 +68,23 @@ class SessionStore {
   bool deserialize(std::span<const u8> bytes);
 
  private:
+  struct ChallengeHash {
+    size_t operator()(const cfa::Challenge& chal) const noexcept;
+  };
   struct DeviceSessions {
     std::vector<cfa::Challenge> outstanding;
+    /// Consumption order, which SST1 serializes; `used_set` answers
+    /// membership so a round costs the same however long the history.
     std::vector<cfa::Challenge> used;
+    std::unordered_set<cfa::Challenge, ChallengeHash> used_set;
+
+    void mark_used(const cfa::Challenge& chal) {
+      used.push_back(chal);
+      used_set.insert(chal);
+    }
+    bool is_used(const cfa::Challenge& chal) const {
+      return used_set.count(chal) != 0;
+    }
   };
   struct Shard {
     mutable std::mutex mu;

@@ -12,7 +12,9 @@
 //     hit);
 //   * eviction under a tiny byte budget (pressure must not corrupt results);
 //   * concurrent farm workers warming one shared cache (run under the
-//     `concurrency` label; the tsan preset builds this with TSan).
+//     `concurrency` label; the tsan preset builds this with TSan);
+//   * golden digests that pin the memo-off reference itself to the
+//     search-only replayer greedy-first replay replaced.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,10 +23,12 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/runner.hpp"
 #include "common/hex.hpp"
+#include "crypto/sha256.hpp"
 #include "fault/campaign.hpp"
 #include "gen_corpus.hpp"
 #include "obs/metrics.hpp"
@@ -622,6 +626,134 @@ TEST(MemoGenCorpus, GridDigestsInvariantAcrossMemoModes) {
   }
 }
 
+// -- golden digests of the search-only replayer -------------------------------
+
+// The differentials above compare against memo-off replay, and greedy-first
+// RAP replay (DESIGN.md §15) changed that reference too. These tests pin it
+// to the replayer it replaced: each constant is one SHA-256 over the
+// in-order digest_hex strings of every verification in the test, computed
+// with the replayer at commit 20f63e0 (search only, no greedy pass, every
+// failed strict pass followed by a lenient one).
+
+/// {memo off}, {memo on, frontier off}, {memo + frontier}.
+constexpr std::pair<bool, bool> kMemoModes[] = {
+    {false, false}, {true, false}, {true, true}};
+
+TEST(MemoGolden, DigestsMatchSearchOnlyReplayer) {
+  const Corpus& fuzz = corpus();
+  std::vector<std::shared_ptr<const Deployment>> fresh;
+  for (const auto& deployment : fuzz.deployments) {
+    fresh.push_back(Deployment::rap(deployment->program(),
+                                    *deployment->rap_manifest(),
+                                    deployment->entry()));
+  }
+  crypto::Sha256 fault_hash;
+  for (const Case& c : fuzz.cases) {
+    for (const bool memo : {false, true}) {
+      fault_hash.update(digest_hex(
+          run_verify(fresh[c.app], fuzz.watermark, c.chal, c.chain, memo)));
+    }
+  }
+  EXPECT_EQ(hex_digest(fault_hash.finalize()),
+            "029615b3411c23695a0996cbda37c59e"
+            "37ab4dbe4983c632155784f4201f6f7b");
+
+  // Grid points are independent, so they fan out across threads; the
+  // digests are hashed in grid order afterwards.
+  const std::vector<gen::GenParams> grid = gen::corpus_grid();
+  const MemoOptions dense{.window_packets = 4, .anchor_backoff_cap = 0};
+  std::vector<std::string> digests(grid.size());
+  std::atomic<size_t> next{0};
+  std::vector<std::future<void>> workers;
+  for (size_t w = 0; w < 4; ++w) {
+    workers.push_back(std::async(std::launch::async, [&] {
+      for (size_t i = next.fetch_add(1); i < grid.size();
+           i = next.fetch_add(1)) {
+        const GenChain c = attest_gen(grid[i]);
+        const auto d = gen_deployment(c, dense);
+        for (const auto& [memo, frontier] : kMemoModes) {
+          digests[i] += digest_hex(run_verify(d, kGenWatermark, c.chal,
+                                              c.chain, memo, frontier));
+        }
+      }
+    }));
+  }
+  for (auto& worker : workers) worker.get();
+  crypto::Sha256 grid_hash;
+  for (const std::string& d : digests) grid_hash.update(d);
+  EXPECT_EQ(hex_digest(grid_hash.finalize()),
+            "5e4b9ecce2bd4b063fc74e8d9d1d6031"
+            "5b6d26234259e9ba85a4ea82060f14e7");
+}
+
+// The lenient pass is skipped after a finding-free strict failure with the
+// frontier off, in every replay mode. This pins every registry app under
+// naive, TRACES and RAP, clean and under each transport injector (mostly
+// Reject and Inconclusive), to the same commit's digests, over {memo off,
+// memo on, memo + frontier}.
+TEST(MemoGolden, AllModesTransportFaultsMatchTwoPassReplayer) {
+  constexpr u32 kWatermark = 256;
+  crypto::Sha256 hash;
+  size_t inconclusive = 0;
+  for (const auto& app : apps::app_registry()) {
+    const PreparedApp p = apps::prepare_app(app);
+    const sim::MachineConfig machine{.mtb_buffer_bytes = 512};
+    const cfa::SessionOptions session{.watermark_bytes = kWatermark};
+    for (const verify::ReplayMode mode :
+         {verify::ReplayMode::Naive, verify::ReplayMode::Traces,
+          verify::ReplayMode::Rap}) {
+      const cfa::Challenge chal =
+          fault::campaign_challenge(17 + static_cast<u64>(mode));
+      apps::MethodRun run;
+      std::shared_ptr<const Deployment> d;
+      switch (mode) {
+        case verify::ReplayMode::Naive:
+          run = apps::run_naive(p, 3, machine, session, chal);
+          d = Deployment::naive(p.built.program, p.built.entry);
+          break;
+        case verify::ReplayMode::Traces:
+          run = apps::run_traces(p, 3, machine, session, chal);
+          d = Deployment::traces(p.traces.program, p.traces.manifest,
+                                 p.built.entry);
+          break;
+        case verify::ReplayMode::Rap:
+          run = apps::run_rap(p, 3, machine, session, chal);
+          d = Deployment::rap(p.rap.program, p.rap.manifest, p.built.entry);
+          break;
+      }
+      std::vector<std::vector<cfa::SignedReport>> chains{
+          run.attestation.reports};
+      for (const InjectorKind kind : fault::transport_injectors()) {
+        for (u64 seed = 1; seed <= 3; ++seed) {
+          FaultPlan plan(seed);
+          plan.add(kind);
+          std::vector<cfa::SignedReport> chain = run.attestation.reports;
+          if (kind == InjectorKind::WireBitFlip) {
+            auto survived = fault::apply_wire_fault(plan, chain);
+            if (!survived.has_value()) continue;
+            chain = std::move(*survived);
+          } else {
+            fault::apply_transport_faults(plan, chain);
+          }
+          chains.push_back(std::move(chain));
+        }
+      }
+      for (const auto& chain : chains) {
+        for (const auto& [memo, frontier] : kMemoModes) {
+          const VerificationResult r =
+              run_verify(d, kWatermark, chal, chain, memo, frontier);
+          if (r.verdict == verify::Verdict::Inconclusive) ++inconclusive;
+          hash.update(digest_hex(r));
+        }
+      }
+    }
+  }
+  EXPECT_GT(inconclusive, 0u) << "no prefix replay exercised";
+  EXPECT_EQ(hex_digest(hash.finalize()),
+            "20c86c5939ec9a448a04f5380888fa33"
+            "643a8c0c7f49903601df8bc284c522f7");
+}
+
 // Guarded recording keeps the segment tier alive on a checkpoint-dense
 // repeated chain. Measured like the leafamb bench gate (16 memo + frontier
 // verifications from a cold cache), the segment hit rate holds the same 0.5
@@ -647,6 +779,43 @@ TEST(MemoGenCorpus, GuardedSegmentsLiftHitsOnCheckpointDenseChains) {
   const verify::MemoStats stats = d->memo().stats();
   EXPECT_GE(stats.hit_rate(), 0.5)
       << stats.hits << " segment hits, " << stats.misses << " misses";
+}
+
+// -- greedy-first pass telemetry ----------------------------------------------
+
+// `verify.replay.greedy_passes` / `verify.replay.search_passes` show how often
+// the checkpointed search still runs: never on a clean registry chain, whose
+// greedy parse completes, and at least once on a cold checkpoint-dense chain.
+TEST(MemoGreedyFirst, PassCountersSplitGreedyFromSearch) {
+  if (!obs::kEnabled) GTEST_SKIP() << "RAP_OBS=OFF build";
+  const auto delta = [](const obs::Snapshot& after, const obs::Snapshot& before,
+                        const char* name) {
+    return after.value(name) - before.value(name);
+  };
+  const fault::CampaignOptions options;
+  const PreparedApp prepared = apps::prepare_app(apps::app_by_name("gps"));
+  const AttestedRun clean = fault::attest_once(prepared, options);
+  ASSERT_TRUE(clean.functional_ok);
+  const auto deployment = Deployment::rap(
+      prepared.rap.program, prepared.rap.manifest, prepared.built.entry);
+  const obs::Snapshot s0 = obs::registry().scrape();
+  const VerificationResult registry = run_verify(
+      deployment, options.watermark_bytes, clean.chal, clean.reports, true);
+  const obs::Snapshot s1 = obs::registry().scrape();
+  ASSERT_TRUE(registry.accepted()) << registry.detail;
+  EXPECT_GE(delta(s1, s0, "verify.replay.greedy_passes"), 1u);
+  EXPECT_EQ(delta(s1, s0, "verify.replay.search_passes"), 0u);
+
+  const GenChain c = attest_gen(
+      {.depth = 2, .alarm_every = 4, .loop_shape = 0, .seed = 1});
+  ASSERT_TRUE(c.ok);
+  const auto d = gen_deployment(
+      c, MemoOptions{.window_packets = 4, .anchor_backoff_cap = 0});
+  const VerificationResult cold =
+      run_verify(d, kGenWatermark, c.chal, c.chain, true, true);
+  const obs::Snapshot s2 = obs::registry().scrape();
+  ASSERT_TRUE(cold.accepted()) << cold.detail;
+  EXPECT_GE(delta(s2, s1, "verify.replay.search_passes"), 1u);
 }
 
 // -- whole-chain fingerprint amortization -------------------------------------

@@ -517,6 +517,87 @@ TEST(NetRecovery, SessionStoreSerializeRoundTrips) {
   EXPECT_EQ(fresh.sessions().serialize(), blob);
 }
 
+cfa::Challenge numbered_challenge(u32 n) {
+  cfa::Challenge chal{};
+  for (size_t i = 0; i < chal.size(); ++i) {
+    chal[i] = static_cast<u8>((n >> (8 * (i % 4))) ^ (0x5a * (i / 4)));
+  }
+  return chal;
+}
+
+// SST1 lists each device's used challenges in consumption order, not in the
+// order of the lookup set beside them: the bytes for a scripted history are
+// exactly the documented layout.
+TEST(SessionStoreLookup, SnapshotBytesFollowConsumptionOrder) {
+  using verify::SessionStore;
+  const cfa::Challenge c1 = numbered_challenge(1), c2 = numbered_challenge(2),
+                       c3 = numbered_challenge(3), c4 = numbered_challenge(4),
+                       c5 = numbered_challenge(5);
+  SessionStore store;
+  for (const cfa::Challenge& c : {c1, c2, c3}) store.issue(7, c);
+  ASSERT_TRUE(store.consume(7, c3));
+  ASSERT_TRUE(store.consume(7, c1));
+  store.issue(7, c4);
+  store.issue(2, c5);
+  ASSERT_TRUE(store.consume(2, c5));
+
+  std::vector<u8> want = {'S', 'S', 'T', '1'};
+  const auto put_u64 = [&want](u64 v) {
+    for (int i = 0; i < 8; ++i) want.push_back(static_cast<u8>(v >> (8 * i)));
+  };
+  const auto put_list = [&want](std::initializer_list<cfa::Challenge> list) {
+    append_u32(want, static_cast<u32>(list.size()));
+    for (const cfa::Challenge& c : list) {
+      want.insert(want.end(), c.begin(), c.end());
+    }
+  };
+  append_u32(want, 2);  // devices, ascending id
+  put_u64(2);
+  put_list({});
+  put_list({c5});
+  put_u64(7);
+  put_list({c2, c4});
+  put_list({c3, c1});
+  append_u32(want, crc32(want));
+  const std::vector<u8> blob = store.serialize();
+  EXPECT_EQ(blob, want);
+
+  SessionStore restored;
+  ASSERT_TRUE(restored.deserialize(blob));
+  EXPECT_EQ(restored.serialize(), blob);
+  EXPECT_EQ(restored.state(7, c3), SessionStore::ChallengeState::Used);
+  EXPECT_EQ(restored.state(7, c2), SessionStore::ChallengeState::Outstanding);
+}
+
+// A long-lived device: every consumed challenge stays Used (also after a
+// restore rebuilds the lookup set), a fresh one is Unknown, and re-issuing a
+// used challenge cannot revive it.
+TEST(SessionStoreLookup, LongHistoryKeepsEveryChallengeUsed) {
+  using verify::SessionStore;
+  constexpr u32 kHistory = 5000;
+  SessionStore store;
+  for (u32 n = 0; n < kHistory; ++n) {
+    store.issue(11, numbered_challenge(n));
+    ASSERT_TRUE(store.consume(11, numbered_challenge(n))) << n;
+  }
+  SessionStore restored;
+  ASSERT_TRUE(restored.deserialize(store.serialize()));
+  for (const SessionStore* s : {&store, &restored}) {
+    for (u32 n = 0; n < kHistory; ++n) {
+      ASSERT_EQ(s->state(11, numbered_challenge(n)),
+                SessionStore::ChallengeState::Used)
+          << n;
+    }
+    EXPECT_EQ(s->state(11, numbered_challenge(kHistory)),
+              SessionStore::ChallengeState::Unknown);
+  }
+  store.issue(11, numbered_challenge(17));
+  EXPECT_EQ(store.state(11, numbered_challenge(17)),
+            SessionStore::ChallengeState::Used);
+  EXPECT_FALSE(store.consume(11, numbered_challenge(17)));
+  EXPECT_EQ(store.outstanding_count(11), 0u);
+}
+
 // A MEM1 warm-cache trailer as older builds appended to SST1/VSS1 snapshots:
 // magic, version 2, empty segment/frontier/device tables, crc32. Restore
 // must treat it as hostile trailing bytes, not as a section to skip.

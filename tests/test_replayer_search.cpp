@@ -7,6 +7,7 @@
 #include "asm/assembler.hpp"
 #include "cfa/provers.hpp"
 #include "gen_corpus.hpp"
+#include "obs/metrics.hpp"
 #include "rewrite/rap_rewriter.hpp"
 #include "sim/machine.hpp"
 #include "verify/replayer.hpp"
@@ -287,6 +288,56 @@ __code_end:
   EXPECT_EQ(result.events.size(), run.oracle.size());
   const ReplayResult checked = replayer.check_path(run.oracle, run.inputs);
   EXPECT_TRUE(checked.complete) << checked.failure;
+}
+
+// Greedy-first skip rule: a failed greedy pass that crossed no site where
+// the search would save a checkpoint is already the search's result, so a
+// truncated prefix of an unambiguous chain costs one greedy pass and no
+// search. It meets no finding either, so the lenient pass (which would
+// retrace it) does not run.
+TEST(ReplaySearch, TruncatedUnambiguousPrefixRunsNoSearch) {
+  if (!obs::kEnabled) GTEST_SKIP() << "RAP_OBS=OFF build";
+  // Four calls whose conditional is never taken: its slot packet never
+  // appears, so every decision there is certain, and the only packets are
+  // the four monitored returns.
+  const Built b = build(R"(
+_start:
+    li r4, =0x20201000
+    bl fn
+    bl fn
+    bl fn
+    bl fn
+    hlt
+fn:
+    push {r4, lr}
+    ldr r0, [r4, #0]     ; unknown to the verifier
+    cmp r0, #9
+    bgt big
+    pop {r4, pc}
+big:
+    movi r0, #1
+    pop {r4, pc}
+__code_end:
+  )");
+  RapRun run = run_rap(b);
+  ASSERT_EQ(run.inputs.packets.size(), 4u);
+  run.inputs.packets.resize(2);  // the third return finds the log exhausted
+
+  PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
+  replayer.set_rap_manifest(&run.rewritten.manifest);
+  const obs::Snapshot before = obs::registry().scrape();
+  const ReplayResult result = replayer.replay(run.inputs);
+  const obs::Snapshot after = obs::registry().scrape();
+  EXPECT_FALSE(result.complete);
+  EXPECT_NE(result.failure.find("CF_Log exhausted"), std::string::npos)
+      << result.failure;
+  EXPECT_EQ(result.backtracks, 0u);
+  EXPECT_EQ(after.value("verify.replay.greedy_passes") -
+                before.value("verify.replay.greedy_passes"),
+            1u);
+  EXPECT_EQ(after.value("verify.replay.search_passes") -
+                before.value("verify.replay.search_passes"),
+            0u);
 }
 
 // Losslessness over the generative checkpoint-dense corpus (gen_corpus.hpp):

@@ -26,8 +26,8 @@
 //
 // Damage mixes cover the verdict taxonomy so the bench prices all three
 // terminal paths: "clean" (Accept), "damaged" (dropped report →
-// Inconclusive, partial reconstruction), "tampered" (MAC forgery → Reject,
-// cheap early exit).
+// Inconclusive, partial reconstruction; multi-report chains only),
+// "tampered" (MAC forgery → Reject, cheap early exit).
 //
 // Emits BENCH_verify_throughput.json with one row per (app, method, mix,
 // mode, memo, workers):
@@ -238,11 +238,15 @@ std::vector<Workload> build_workloads(bool quick) {
         std::exit(1);
       }
 
-      std::vector<cfa::SignedReport> damaged = run.chain;
-      fault::FaultPlan drop(7);
-      drop.add(fault::InjectorKind::DropReport);
-      fault::apply_transport_faults(drop, damaged);
-      push("damaged", std::move(damaged));
+      // Dropping the lone report of a one-report chain (TRACES) leaves
+      // nothing to verify, so only multi-report chains get this mix.
+      if (run.chain.size() >= 2) {
+        std::vector<cfa::SignedReport> damaged = run.chain;
+        fault::FaultPlan drop(7);
+        drop.add(fault::InjectorKind::DropReport);
+        fault::apply_transport_faults(drop, damaged);
+        push("damaged", std::move(damaged));
+      }
 
       std::vector<cfa::SignedReport> tampered = run.chain;
       fault::FaultPlan mac(7);

@@ -25,23 +25,26 @@
 // enforces that bit-for-bit against the unmemoized engine.
 //
 // The cache lives on the Deployment (one per expected image) and is shared
-// by the serial Verifier and every VerifierFarm worker: sharded
-// open-addressed tables under per-shard mutexes, entries held as
-// shared_ptr<const MemoSegment> so a hit copies a pointer under the lock
-// and validates outside it. Memory is bounded per shard; insertion evicts
-// least-recently-used entries within the probe window (and clock-sweeps the
-// shard when the byte budget overflows).
+// by the serial Verifier and every VerifierFarm worker. Each shard is one
+// open-addressed slot table under its own mutex, allocated on the shard's
+// first insert; a slot holds either a segment (shared_ptr<const MemoSegment>,
+// so a hit copies a pointer under the lock and validates outside it) or a
+// frontier entry (heap-allocated on insert). Both kinds share the shard's
+// LRU tick, its clock hand and its byte budget: insertion evicts the
+// least-recently-used slot of the probe window, whatever it holds, and
+// clock-sweeps the shard when the byte budget overflows.
 //
 // Compile-time gate: `RAP_MEMO_ENABLED` (CMake option RAP_MEMO, default ON)
-// mirrors RAP_OBS. When OFF, lookup/insert collapse to no-ops, kMemoEnabled
-// is false, and verify_report_chain never attaches the cache — the engine
-// runs exactly the pre-memo code path.
+// mirrors RAP_OBS. When OFF, kMemoEnabled is false, lookup/insert return at
+// once (no table is ever allocated), and verify_report_chain never attaches
+// the cache — the engine runs exactly the pre-memo code path.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -197,12 +200,9 @@ struct FrontierEntry {
 struct MemoOptions {
   /// Shard count (lock granularity). Power of two.
   size_t shards = 16;
-  /// Open-addressed slots per shard.
+  /// Open-addressed slots per shard, shared by segments and frontier
+  /// entries. A shard allocates its table on its first insert.
   size_t slots_per_shard = 2048;
-  /// Frontier-memo slots per shard. Entries are small and fixed-size
-  /// (~200 B), so the default table costs ~800 KiB per shard fully loaded —
-  /// still charged against `budget_bytes`, with its own eviction clock.
-  size_t frontier_slots_per_shard = 4096;
   /// Byte budget across the whole cache (split evenly over shards).
   /// Entries larger than one shard's budget are rejected outright.
   size_t budget_bytes = size_t{48} << 20;
@@ -228,7 +228,7 @@ struct MemoStats {
   u64 hits = 0;        ///< segments applied by some engine
   u64 misses = 0;      ///< lookups that applied nothing
   u64 inserts = 0;     ///< segments stored
-  u64 evictions = 0;   ///< segments displaced (LRU or budget sweep)
+  u64 evictions = 0;   ///< entries of either kind displaced (LRU or sweep)
   u64 rejects = 0;     ///< inserts refused (entry larger than a shard budget)
   u64 bytes = 0;       ///< current resident bytes (segments + frontier)
   u64 entries = 0;     ///< current resident segment count
@@ -256,6 +256,10 @@ class MemoCache {
   /// Most candidates one lookup returns (same key hash, different guards —
   /// e.g. divergent chains sharing an entry state).
   static constexpr size_t kLookupWidth = 4;
+  /// Linear-probe window per lookup/insert: long enough to tolerate key-hash
+  /// clusters, short enough that a shard operation stays a handful of cache
+  /// lines under the lock.
+  static constexpr size_t kProbe = 8;
 
   explicit MemoCache(MemoOptions options = {});
 
@@ -274,7 +278,7 @@ class MemoCache {
   void note_hit() const;
   void note_miss() const;
 
-  // -- frontier tier --------------------------------------------------------
+  // -- frontier entries -----------------------------------------------------
 
   /// Find the frontier entry whose guards exactly match `guards` and copy it
   /// into `out`. Returns true on a guard match (counted as a frontier hit).
@@ -283,97 +287,65 @@ class MemoCache {
   /// Store a resolved-ambiguity entry. A guard-matching resident entry
   /// *merges* instead of duplicating: failed bits OR together and a recorded
   /// decision fills in if absent, so concurrent workers pool what each
-  /// replay's search learned. Charged against the shared byte budget with a
-  /// frontier-local eviction clock.
+  /// replay's search learned. Shares the slot table, the eviction clock and
+  /// the byte budget with the segments.
   void frontier_insert(const FrontierEntry& entry);
 
-  // -- whole-chain fingerprint cache ----------------------------------------
-
-  /// Cross-call cache of the whole-chain evidence fingerprint, keyed by a
-  /// caller-computed chain identity hash (challenge + report MACs — already
-  /// authenticated, so the key pins the evidence content). Repeated
-  /// verifications of an identical chain (farm retries, re-deliveries) seed
-  /// PathReplayer::seed_chain_fingerprint from here and skip the full-stream
-  /// hash pass. Fixed-size set-associative table (see ChainFpSlot below);
-  /// a full set displaces its least-recently-used entry and bumps the
-  /// verify.memo.fingerprint.evicted counter.
-  bool chain_fp_lookup(u64 key, u64* fp) const;
-  void chain_fp_store(u64 key, u64 fp);
-
-  /// Drop every entry and reset statistics (bench/test isolation).
+  /// Drop every entry and reset statistics (bench/test isolation). An
+  /// allocated table stays allocated, so a timed run after clear() does
+  /// not pay for it again.
   void clear();
 
   MemoStats stats() const;
   const MemoOptions& options() const { return options_; }
 
-  /// Global kill switch for differential tests that cannot reach every
-  /// internally-constructed Verifier: while disabled, lookup returns
-  /// nothing and insert drops. Flip only from single-threaded test setup.
-  static void force_disable(bool disable);
+  /// Budget charge for one resident frontier entry.
+  static constexpr size_t kFrontierEntryBytes = sizeof(FrontierEntry);
 
  private:
+  /// Empty, a segment, or a frontier entry — never both.
   struct Slot {
     u64 key = 0;
     u64 tick = 0;  ///< last touch (shard-local logical clock)
     Handle segment;
-  };
-  struct FrontierSlot {
-    u64 key = 0;
-    u64 tick = 0;  ///< frontier-local eviction clock
-    bool used = false;
-    FrontierEntry entry;
-  };
+    std::unique_ptr<FrontierEntry> frontier;
 
- public:
-  /// Budget charge for one resident frontier entry: the full inline slot
-  /// footprint, so the byte budget never undercounts the tier.
-  static constexpr size_t kFrontierEntryBytes = sizeof(FrontierSlot);
-
- private:
+    bool empty() const { return segment == nullptr && frontier == nullptr; }
+  };
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::vector<Slot> slots;
-    std::vector<FrontierSlot> fslots;
-    size_t bytes = 0;      ///< segment + frontier bytes, against shard budget
-    size_t fcount = 0;     ///< resident frontier entries
+    std::vector<Slot> slots;  ///< empty until the shard's first insert
+    size_t bytes = 0;         ///< resident bytes, against the shard budget
     u64 tick = 0;
-    u64 ftick = 0;
     size_t sweep_hand = 0;
-    size_t fsweep_hand = 0;
   };
 
   Shard& shard_for(u64 key) const { return shards_[key & shard_mask_]; }
-  /// Clock-sweep `shard` down to the byte budget without evicting the
-  /// protected fresh entry (`keep_slot`/`keep_fslot`). Sweeps the segment
-  /// tier, then the frontier tier; each scan is bounded by its slot count,
-  /// so the sweep terminates (and the budget invariant holds) even when one
-  /// tier alone cannot free enough. Caller holds the shard mutex. Returns
-  /// entries evicted.
-  u64 sweep_to_budget(Shard& shard, const Slot* keep_slot,
-                      const FrontierSlot* keep_fslot);
+  /// `key`'s probe window: kProbe consecutive slots, starting early enough
+  /// in the table that no window wraps. Empty before the shard's first
+  /// insert. Caller holds the shard mutex.
+  static std::span<Slot> window(Shard& shard, u64 key);
+  /// The slot of `key`'s probe window that `same` accepts, else the first
+  /// empty one, else the least recently used one (of either kind). Sets
+  /// `*matched` when `same` accepted it. Caller holds the shard mutex.
+  template <class Same>
+  Slot& claim(Shard& shard, u64 key, Same same, bool* matched);
+  /// Charge a freshly filled slot to the byte budget and the entry counts.
+  void admit(Shard& shard, const Slot& slot);
+  /// Empty a resident slot, releasing its charge. Caller holds the mutex.
+  void drop(Shard& shard, Slot& slot);
+  /// Clock-sweep `shard` down to the byte budget, sparing `keep` (the fresh
+  /// entry, which alone fits the budget: oversize entries are rejected
+  /// first). One scan visits each slot at most once. Returns entries
+  /// evicted. Caller holds the shard mutex.
+  u64 sweep_to_budget(Shard& shard, const Slot* keep);
+  /// Shared tail of both inserts: insert/eviction counters and metrics.
+  void note_insert(bool frontier, u64 evicted);
 
   MemoOptions options_;
   size_t shard_mask_ = 0;
   size_t shard_budget_ = 0;
   mutable std::vector<Shard> shards_;
-
-  /// Set-associative whole-chain fingerprint cache (chain_fp_lookup/store):
-  /// kChainFpSets sets x kChainFpWays ways with per-slot LRU ticks, laid
-  /// out set-major in one flat array. Direct mapping lost fingerprints to
-  /// same-set collisions at fleet scale; with 4 ways a set only starts
-  /// displacing live keys when >4 concurrently live chains alias one set,
-  /// and every displacement is counted (verify.memo.fingerprint.evicted).
-  struct ChainFpSlot {
-    u64 key = 0;
-    u64 fp = 0;
-    u64 tick = 0;  ///< LRU: bumped on hit/refresh under chain_fp_mu_
-    bool valid = false;
-  };
-  static constexpr size_t kChainFpSets = 64;
-  static constexpr size_t kChainFpWays = 4;
-  mutable std::mutex chain_fp_mu_;
-  mutable std::array<ChainFpSlot, kChainFpSets * kChainFpWays> chain_fp_slots_{};
-  mutable u64 chain_fp_tick_ = 0;
 
   mutable std::atomic<u64> hits_{0};
   mutable std::atomic<u64> misses_{0};

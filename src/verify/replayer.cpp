@@ -305,8 +305,6 @@ u64 memo_key(Address pc, const MemoValuation& val, u64 policy_hash) {
 struct FingerprintObs {
   obs::Counter computed =
       obs::registry().counter("verify.memo.fingerprint.computed");
-  obs::Counter reused =
-      obs::registry().counter("verify.memo.fingerprint.reused");
 
   static FingerprintObs& get() {
     static FingerprintObs metrics;
@@ -371,8 +369,7 @@ class ReplayEngine {
                const std::vector<trace::OracleEvent>* script = nullptr,
                bool strict = false, MemoCache* memo = nullptr,
                bool use_frontier = true,
-               bool* chain_fp_valid = nullptr, u64* chain_fp_slot = nullptr,
-               bool greedy = false)
+               std::optional<u64>* chain_fp = nullptr, bool greedy = false)
       : index_(index),
         mode_(mode),
         policy_(policy),
@@ -383,8 +380,7 @@ class ReplayEngine {
         greedy_(greedy),
         memo_(script == nullptr ? memo : nullptr),
         use_frontier_(use_frontier),
-        chain_fp_valid_(chain_fp_valid),
-        chain_fp_slot_(chain_fp_slot) {
+        chain_fp_(chain_fp) {
     pc_ = entry;
     if (memo_ != nullptr) {
       // Call-target-policy fingerprint for the memo key: the policy decides
@@ -576,15 +572,11 @@ class ReplayEngine {
   /// exact cursor positions it pins the remaining evidence suffix of every
   /// stream — strictly stronger than a per-suffix hash (two chains sharing
   /// a tail no longer alias) at a fraction of the cost: one pass, no
-  /// per-stream suffix arrays. The PathReplayer owns a shared slot
-  /// (chain_fp_valid_/chain_fp_slot_) so the strict pass, lenient pass and
-  /// detached retries of one replay — and, seeded through
-  /// MemoCache::chain_fp_{lookup,store}, later verifications of the same
-  /// chain — all hash the streams at most once.
-  bool* chain_fp_valid_ = nullptr;
-  u64* chain_fp_slot_ = nullptr;
-  mutable std::optional<u64> chain_fp_local_;  ///< fallback when no slot
-  mutable bool chain_fp_counted_ = false;      ///< one obs count per engine
+  /// per-stream suffix arrays. PathReplayer::replay passes one shared slot
+  /// to all its engines, so the strict pass, lenient pass and detached
+  /// retries of one replay hash the streams at most once. Null: recompute
+  /// on every use (only the memo-less checker engine, which never asks).
+  std::optional<u64>* chain_fp_ = nullptr;
   /// Frontier futility gate (the §14 backoff idea applied to the frontier
   /// tier): consults that keep returning nothing actionable — misses, or
   /// decision hits that never carried dead-branch knowledge — stop after
@@ -609,14 +601,7 @@ class ReplayEngine {
   }
 
   u64 chain_fp() const {
-    if (chain_fp_slot_ != nullptr && *chain_fp_valid_) {
-      if (!chain_fp_counted_) {
-        chain_fp_counted_ = true;
-        if constexpr (obs::kEnabled) FingerprintObs::get().reused.inc();
-      }
-      return *chain_fp_slot_;
-    }
-    if (chain_fp_local_) return *chain_fp_local_;
+    if (chain_fp_ != nullptr && chain_fp_->has_value()) return **chain_fp_;
     u64 h = 0x517cc1b727220a95ull;
     const auto mix = [&h](u64 v) {
       h = (h ^ v) * 0x9e3779b97f4a7c15ull + 0x243f6a8885a308d3ull;
@@ -627,16 +612,8 @@ class ReplayEngine {
     for (const u32 v : loop_stream()) mix(v);
     for (const bool b : inputs_.traces_log.direction_bits) mix(b ? 2 : 1);
     for (const u32 t : inputs_.traces_log.indirect_targets) mix(t);
-    if (chain_fp_slot_ != nullptr) {
-      *chain_fp_slot_ = h;
-      *chain_fp_valid_ = true;
-    } else {
-      chain_fp_local_ = h;
-    }
-    if (!chain_fp_counted_) {
-      chain_fp_counted_ = true;
-      if constexpr (obs::kEnabled) FingerprintObs::get().computed.inc();
-    }
+    if (chain_fp_ != nullptr) *chain_fp_ = h;
+    if constexpr (obs::kEnabled) FingerprintObs::get().computed.inc();
     return h;
   }
 
@@ -1676,12 +1653,9 @@ ReplayResult PathReplayer::replay(const ReplayInputs& inputs, u64 max_steps) {
     local_index.emplace(*program_, mode_, rap_, traces_);
     index = &*local_index;
   }
-  // Whole-chain fingerprint amortization: a seeded value (chain_fp_lookup
-  // hit for this exact chain) survives into this call; otherwise any stale
-  // value from a previous chain is invalidated and the first engine that
-  // needs the fingerprint recomputes it once for every pass and retry.
-  if (!chain_fp_seeded_) chain_fp_valid_ = false;
-  chain_fp_seeded_ = false;
+  // Whole-chain evidence fingerprint: the first engine that needs it
+  // computes it once for every pass and retry of this call.
+  std::optional<u64> chain_fp;
   // One pass (strict or lenient). RAP passes first run the engine greedily:
   // no checkpoints, no state hashing. Until its first backtrack the search
   // decides exactly as the greedy pass does, so a completing greedy pass is
@@ -1709,8 +1683,8 @@ ReplayResult PathReplayer::replay(const ReplayInputs& inputs, u64 max_steps) {
         }
       }
       return ReplayEngine(*index, entry_, mode_, policy_, inputs, max_steps,
-                          nullptr, strict, memo_, use_frontier,
-                          &chain_fp_valid_, &chain_fp_, greedy);
+                          nullptr, strict, memo_, use_frontier, &chain_fp,
+                          greedy);
     };
     if (mode_ == ReplayMode::Rap) {
       ReplayEngine greedy = make_engine(use_frontier_, /*greedy=*/true);
@@ -1739,16 +1713,6 @@ ReplayResult PathReplayer::replay(const ReplayInputs& inputs, u64 max_steps) {
     return strict_result;
   }
   return run_pass(/*strict=*/false);
-}
-
-void PathReplayer::seed_chain_fingerprint(u64 fp) {
-  chain_fp_ = fp;
-  chain_fp_valid_ = true;
-  chain_fp_seeded_ = true;
-}
-
-std::optional<u64> PathReplayer::chain_fingerprint() const {
-  return chain_fp_valid_ ? std::optional<u64>(chain_fp_) : std::nullopt;
 }
 
 ReplayResult PathReplayer::check_path(

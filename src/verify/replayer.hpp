@@ -118,17 +118,6 @@ class PathReplayer {
   /// frontier-influenced pass re-runs with the frontier detached).
   void set_frontier(bool enabled) { use_frontier_ = enabled; }
 
-  /// Seed the whole-chain evidence fingerprint for the next replay() call
-  /// (e.g. from MemoCache::chain_fp_lookup when the identical chain was
-  /// verified before): every engine of that replay then reuses the value
-  /// instead of hashing all four evidence streams. Consumed by the next
-  /// replay() only — an unseeded replay() always recomputes lazily.
-  void seed_chain_fingerprint(u64 fp);
-  /// Fingerprint computed (or reused) by the most recent replay(), if any
-  /// engine needed it. Feed it back via MemoCache::chain_fp_store so farm
-  /// retries of the same chain skip the hash pass entirely.
-  std::optional<u64> chain_fingerprint() const;
-
   ReplayResult replay(const ReplayInputs& inputs, u64 max_steps = 100'000'000);
 
   /// Checker mode: instead of searching for a parse, follow `path` (e.g. a
@@ -150,13 +139,6 @@ class PathReplayer {
   const ReplayIndex* index_ = nullptr;
   MemoCache* memo_ = nullptr;
   bool use_frontier_ = true;
-  /// Whole-chain evidence fingerprint shared across one replay()'s engines
-  /// (strict pass, lenient pass, detached retries): the first engine that
-  /// consults the frontier computes it once; the rest reuse it. Engines run
-  /// sequentially within replay(), so plain members suffice.
-  bool chain_fp_valid_ = false;
-  bool chain_fp_seeded_ = false;
-  u64 chain_fp_ = 0;
   ReplayPolicy policy_;
 };
 

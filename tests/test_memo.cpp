@@ -92,13 +92,24 @@ verify::FrontierEntry make_frontier(Address pc, u64 fingerprint) {
   return entry;
 }
 
+// Run over a roomy cache and over a single probe window (one shard of
+// kProbe slots, so every key — segment or frontier — lands in the same
+// window): a segment lookup returns only segments, a frontier lookup matches
+// only frontier entries with equal guards, whatever shares the slots.
 TEST(MemoCacheUnit, InsertLookupRefreshAndClear) {
-  MemoCache cache({.shards = 4, .slots_per_shard = 64});
-  MemoCache::Handle out[MemoCache::kLookupWidth];
-  EXPECT_EQ(cache.lookup(42, out, MemoCache::kLookupWidth), 0u);
+  for (const MemoOptions& options :
+       {MemoOptions{.shards = 4, .slots_per_shard = 64},
+        MemoOptions{.shards = 1, .slots_per_shard = MemoCache::kProbe}}) {
+    SCOPED_TRACE(options.slots_per_shard);
+    MemoCache cache(options);
+    MemoCache::Handle out[MemoCache::kLookupWidth];
+    EXPECT_EQ(cache.lookup(42, out, MemoCache::kLookupWidth), 0u);
 
-  cache.insert(42, make_segment(0x100));
-  if constexpr (verify::kMemoEnabled) {
+    cache.insert(42, make_segment(0x100));
+    if constexpr (!verify::kMemoEnabled) {
+      EXPECT_EQ(cache.lookup(42, out, MemoCache::kLookupWidth), 0u);
+      continue;
+    }
     ASSERT_EQ(cache.lookup(42, out, MemoCache::kLookupWidth), 1u);
     EXPECT_EQ(out[0]->entry_pc, 0x100u);
     EXPECT_EQ(cache.stats().entries, 1u);
@@ -106,6 +117,24 @@ TEST(MemoCacheUnit, InsertLookupRefreshAndClear) {
     // Same key, same entry guards: refreshes in place, no duplicate.
     cache.insert(42, make_segment(0x100));
     EXPECT_EQ(cache.stats().entries, 1u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+
+    // A frontier entry and a segment stored under the frontier entry's own
+    // key hash: each lookup sees only its own kind.
+    const verify::FrontierEntry frontier = make_frontier(0x100, 1);
+    const u64 fkey = frontier.key_hash();
+    cache.frontier_insert(frontier);
+    EXPECT_EQ(cache.lookup(fkey, out, MemoCache::kLookupWidth), 0u);
+    cache.insert(fkey, make_segment(0x300));
+    ASSERT_EQ(cache.lookup(fkey, out, MemoCache::kLookupWidth), 1u);
+    EXPECT_EQ(out[0]->entry_pc, 0x300u);
+    verify::FrontierEntry known;
+    EXPECT_TRUE(cache.frontier_lookup(frontier, &known));
+    EXPECT_FALSE(cache.frontier_lookup(make_frontier(0x100, 2), &known));
+    ASSERT_EQ(cache.lookup(42, out, MemoCache::kLookupWidth), 1u);
+    EXPECT_EQ(out[0]->entry_pc, 0x100u);
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(cache.stats().frontier_entries, 1u);
     EXPECT_EQ(cache.stats().evictions, 0u);
 
     cache.note_hit();
@@ -116,21 +145,11 @@ TEST(MemoCacheUnit, InsertLookupRefreshAndClear) {
 
     cache.clear();
     EXPECT_EQ(cache.lookup(42, out, MemoCache::kLookupWidth), 0u);
+    EXPECT_FALSE(cache.frontier_lookup(frontier, &known));
     EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(cache.stats().frontier_entries, 0u);
     EXPECT_EQ(cache.stats().bytes, 0u);
-  } else {
-    EXPECT_EQ(cache.lookup(42, out, MemoCache::kLookupWidth), 0u);
   }
-}
-
-TEST(MemoCacheUnit, ForceDisableDropsTraffic) {
-  MemoCache cache;
-  MemoCache::Handle out[MemoCache::kLookupWidth];
-  MemoCache::force_disable(true);
-  cache.insert(7, make_segment(0x200));
-  EXPECT_EQ(cache.lookup(7, out, MemoCache::kLookupWidth), 0u);
-  MemoCache::force_disable(false);
-  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(MemoCacheUnit, ByteBudgetEnforcedByEviction) {
@@ -155,45 +174,65 @@ TEST(MemoCacheUnit, ByteBudgetEnforcedByEviction) {
 
 // The budget must hold at every instant, not just between calls: the
 // `verify.memo.bytes_hwm` gauge records the maximum resident footprint any
-// insert ever observed, across BOTH tiers, so an accounting bug that
-// transiently overshoots (the pre-fix frontier sweep could) is caught even
-// after eviction pulls the steady state back under.
+// insert ever observed, across BOTH kinds of entry, so an accounting bug
+// that transiently overshoots is caught even after eviction pulls the
+// steady state back under. Segments and frontier entries share the slots,
+// so pressure from either kind must evict the other too: by the byte sweep
+// in a roomy table, by window LRU in a single probe window.
 TEST(MemoCacheUnit, ByteHighWaterMarkStaysUnderBudgetAcrossTiers) {
   if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
   if (!obs::kEnabled) GTEST_SKIP() << "RAP_OBS=OFF build";
-  // The hwm gauge is global and monotonic; zero it so this test measures
-  // only its own cache.
-  obs::registry().reset();
-  const MemoOptions options{.shards = 1,
-                            .slots_per_shard = 64,
-                            .frontier_slots_per_shard = 256,
-                            .budget_bytes = 8 * 1024};
-  // The charge model must cover the real slot footprint — an undercount
-  // here is exactly the bug that let the frontier tier outgrow its budget.
-  static_assert(MemoCache::kFrontierEntryBytes >= sizeof(verify::FrontierEntry));
-  MemoCache cache(options);
-  for (u64 i = 0; i < 64; ++i) {
-    cache.insert(i * 0x2001, make_segment(0x100 + 4 * i, /*padding=*/64));
-    verify::FrontierEntry entry = make_frontier(0x100 + 4 * i, i);
-    entry.failed_mask = 1;
-    cache.frontier_insert(entry);
-    EXPECT_LE(cache.stats().bytes, options.budget_bytes)
-        << "budget exceeded after mixed insert " << i;
+  for (const MemoOptions& options :
+       {MemoOptions{.shards = 1, .slots_per_shard = 256, .budget_bytes = 8 * 1024},
+        MemoOptions{.shards = 1,
+                    .slots_per_shard = MemoCache::kProbe,
+                    .budget_bytes = 8 * 1024}}) {
+    SCOPED_TRACE(options.slots_per_shard);
+    // The hwm gauge is global and monotonic; zero it so each pass measures
+    // only its own cache.
+    obs::registry().reset();
+    MemoCache cache(options);
+    bool segment_evicted_frontier = false;
+    bool frontier_evicted_segment = false;
+    // Alternate runs of 16 segments and 16 frontier entries, so each run
+    // meets a table the other kind filled.
+    for (u64 i = 0; i < 128; ++i) {
+      const verify::MemoStats before = cache.stats();
+      if ((i / 16) % 2 == 0) {
+        cache.insert(i * 0x2001, make_segment(0x100 + 4 * i, /*padding=*/64));
+        if (cache.stats().frontier_entries < before.frontier_entries) {
+          segment_evicted_frontier = true;
+        }
+      } else {
+        verify::FrontierEntry entry = make_frontier(0x100 + 4 * i, i);
+        entry.failed_mask = 1;
+        cache.frontier_insert(entry);
+        if (cache.stats().entries < before.entries) {
+          frontier_evicted_segment = true;
+        }
+      }
+      EXPECT_LE(cache.stats().bytes, options.budget_bytes)
+          << "budget exceeded after mixed insert " << i;
+      EXPECT_LE(cache.stats().entries + cache.stats().frontier_entries,
+                options.slots_per_shard);
+    }
+    const auto stats = cache.stats();
+    EXPECT_GT(stats.evictions, 0u) << "mixed pressure never evicted";
+    EXPECT_EQ(stats.frontier_inserts, 64u);
+    EXPECT_TRUE(segment_evicted_frontier);
+    EXPECT_TRUE(frontier_evicted_segment);
+    const obs::Snapshot snap = obs::registry().scrape();
+    EXPECT_GT(snap.value("verify.memo.bytes_hwm"), 0u);
+    EXPECT_LE(snap.value("verify.memo.bytes_hwm"), options.budget_bytes)
+        << "some insert transiently overshot the byte budget";
   }
-  const auto stats = cache.stats();
-  EXPECT_GT(stats.evictions, 0u) << "mixed pressure never evicted";
-  EXPECT_GT(stats.frontier_inserts, 0u);
-  const obs::Snapshot snap = obs::registry().scrape();
-  EXPECT_GT(snap.value("verify.memo.bytes_hwm"), 0u);
-  EXPECT_LE(snap.value("verify.memo.bytes_hwm"), options.budget_bytes)
-      << "some insert transiently overshot the byte budget";
 }
 
 // -- frontier tier unit behavior ----------------------------------------------
 
 TEST(MemoFrontierUnit, InsertLookupAndKnowledgeMerge) {
   if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  MemoCache cache({.shards = 2, .frontier_slots_per_shard = 64});
+  MemoCache cache({.shards = 2, .slots_per_shard = 64});
   verify::FrontierEntry known;
   EXPECT_FALSE(cache.frontier_lookup(make_frontier(0x100, 1), &known));
 
@@ -223,12 +262,11 @@ TEST(MemoFrontierUnit, InsertLookupAndKnowledgeMerge) {
 
 TEST(MemoFrontierUnit, FrontierEntriesChargeTheByteBudget) {
   if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  // Budget sized for a handful of frontier entries (kFrontierEntryBytes —
-  // the full slot footprint — charged each): inserting far more must evict
-  // instead of growing without bound (satellite: promoted failure knowledge
-  // rides the same budget).
+  // Budget sized for a handful of frontier entries (kFrontierEntryBytes
+  // charged each): inserting far more must evict instead of growing without
+  // bound (promoted failure knowledge rides the same budget).
   const MemoOptions options{
-      .shards = 1, .frontier_slots_per_shard = 256, .budget_bytes = 2048};
+      .shards = 1, .slots_per_shard = 256, .budget_bytes = 2048};
   MemoCache cache(options);
   for (u64 i = 0; i < 64; ++i) {
     verify::FrontierEntry entry = make_frontier(0x100 + 4 * i, i);
@@ -754,6 +792,52 @@ TEST(MemoGolden, AllModesTransportFaultsMatchTwoPassReplayer) {
             "643a8c0c7f49903601df8bc284c522f7");
 }
 
+// Naive and TRACES replay has no RAP ambiguity, so it never consults or
+// fills the frontier: those deployments hold segments only. Clean and
+// transport-faulted chains, each verified cold then warm, memo + frontier on.
+TEST(MemoModes, NaiveAndTracesNeverTouchTheFrontier) {
+  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
+  constexpr u32 kWatermark = 256;
+  const sim::MachineConfig machine{.mtb_buffer_bytes = 512};
+  const cfa::SessionOptions session{.watermark_bytes = kWatermark};
+  for (const char* name : {"gps", "temperature", "crc32"}) {
+    const PreparedApp p = apps::prepare_app(apps::app_by_name(name));
+    for (const verify::ReplayMode mode :
+         {verify::ReplayMode::Naive, verify::ReplayMode::Traces}) {
+      const bool naive = mode == verify::ReplayMode::Naive;
+      SCOPED_TRACE(std::string(name) + (naive ? "/naive" : "/traces"));
+      const cfa::Challenge chal =
+          fault::campaign_challenge(29 + static_cast<u64>(mode));
+      const apps::MethodRun run =
+          naive ? apps::run_naive(p, 3, machine, session, chal)
+                : apps::run_traces(p, 3, machine, session, chal);
+      const auto d =
+          naive ? Deployment::naive(p.built.program, p.built.entry)
+                : Deployment::traces(p.traces.program, p.traces.manifest,
+                                     p.built.entry);
+      std::vector<std::vector<cfa::SignedReport>> chains{
+          run.attestation.reports};
+      for (const InjectorKind kind : fault::transport_injectors()) {
+        if (kind == InjectorKind::WireBitFlip) continue;
+        FaultPlan plan(7);
+        plan.add(kind);
+        chains.push_back(run.attestation.reports);
+        fault::apply_transport_faults(plan, chains.back());
+      }
+      for (const auto& chain : chains) {
+        for (int pass = 0; pass < 2; ++pass) {
+          run_verify(d, kWatermark, chal, chain, /*memo=*/true);
+        }
+      }
+      const verify::MemoStats stats = d->memo().stats();
+      EXPECT_GT(stats.hits + stats.misses, 0u) << "the memo saw no traffic";
+      EXPECT_EQ(stats.frontier_entries, 0u);
+      EXPECT_EQ(stats.frontier_hits, 0u);
+      EXPECT_EQ(stats.frontier_misses, 0u);
+    }
+  }
+}
+
 // Guarded recording keeps the segment tier alive on a checkpoint-dense
 // repeated chain. Measured like the leafamb bench gate (16 memo + frontier
 // verifications from a cold cache), the segment hit rate holds the same 0.5
@@ -818,13 +902,14 @@ TEST(MemoGreedyFirst, PassCountersSplitGreedyFromSearch) {
   EXPECT_GE(delta(s2, s1, "verify.replay.search_passes"), 1u);
 }
 
-// -- whole-chain fingerprint amortization -------------------------------------
+// -- whole-chain fingerprint -------------------------------------------------
 
-// One verification hashes the four evidence streams at most once (the first
-// engine that consults the frontier computes; strict/lenient/detached
-// retries reuse), and a repeat of the identical chain is seeded from the
-// cache's fingerprint table and computes zero times.
-TEST(MemoFingerprint, ChainFingerprintComputedOnceThenReusedAcrossSessions) {
+// One verification hashes the four evidence streams at most once: the first
+// engine that consults the frontier computes, and the strict, lenient and
+// detached engines of that replay reuse it. Nothing carries over between
+// verifications, so a second verification of the identical chain computes
+// exactly once again.
+TEST(MemoFingerprint, ChainFingerprintComputedOncePerVerification) {
   if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
   if (!obs::kEnabled) GTEST_SKIP() << "RAP_OBS=OFF build";
   const gen::GenParams p{
@@ -851,13 +936,8 @@ TEST(MemoFingerprint, ChainFingerprintComputedOnceThenReusedAcrossSessions) {
                         const char* name) {
     return after.value(name) - before.value(name);
   };
-  // First session: the streams are hashed exactly once, shared across every
-  // engine of that replay.
   EXPECT_EQ(delta(s1, s0, "verify.memo.fingerprint.computed"), 1u);
-  // Second session of the identical chain: seeded from the fingerprint
-  // table, so nothing recomputes and at least one engine reuses.
-  EXPECT_EQ(delta(s2, s1, "verify.memo.fingerprint.computed"), 0u);
-  EXPECT_GE(delta(s2, s1, "verify.memo.fingerprint.reused"), 1u);
+  EXPECT_EQ(delta(s2, s1, "verify.memo.fingerprint.computed"), 1u);
 }
 
 }  // namespace

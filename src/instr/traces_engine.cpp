@@ -1,6 +1,7 @@
 #include "instr/traces_engine.hpp"
 
 #include <bit>
+#include <optional>
 
 #include "common/bits.hpp"
 #include "common/hex.hpp"
@@ -20,7 +21,16 @@ TracesEngine::TracesEngine(const Program& program,
       manifest_(&manifest),
       memory_(&memory),
       capacity_bytes_(capacity_bytes),
-      bit_packed_(bit_packed) {}
+      bit_packed_(bit_packed) {
+  for (const VeneerRecord& veneer : manifest.veneers) {
+    if (veneer.kind == VeneerKind::LoopCondition) continue;
+    const Address next_instr = veneer.svc_addr + 4;
+    if (!program.contains(next_instr) || next_instr % 4 != 0) continue;
+    if (const auto decoded = program.instruction_at(next_instr)) {
+      logged_branches_.emplace(next_instr, *decoded);
+    }
+  }
+}
 
 void TracesEngine::attach(tz::SecureMonitor& monitor) {
   monitor.register_service(tz::Service::kTracesLogBranch,
@@ -72,7 +82,14 @@ void TracesEngine::maybe_flush() {
 Cycles TracesEngine::log_branch(cpu::CpuState& state) {
   // The SVC sits immediately before the relocated original instruction.
   const Address next_instr = state.pc();
-  const auto decoded = program_->instruction_at(next_instr);
+  std::optional<Instruction> decoded;
+  if (const auto it = logged_branches_.find(next_instr);
+      it != logged_branches_.end()) {
+    decoded = it->second;
+  } else {
+    // An SVC outside the manifest's veneers (a hijacked or injected one).
+    decoded = program_->instruction_at(next_instr);
+  }
   if (!decoded) {
     throw Error("TracesEngine: no instruction after SVC at " + hex32(next_instr));
   }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "asm/program.hpp"
@@ -73,6 +74,9 @@ class TracesEngine {
 
   const Program* program_;
   const TracesManifest* manifest_;
+  /// The instruction after each branch-logging SVC of the manifest's
+  /// veneers, keyed by its address, decoded once at construction.
+  std::unordered_map<Address, isa::Instruction> logged_branches_;
   mem::MemoryMap* memory_;
   u32 capacity_bytes_;
   bool bit_packed_;

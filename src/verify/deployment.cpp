@@ -11,18 +11,27 @@ ReplayIndex::ReplayIndex(const Program& program, ReplayMode mode,
                          const rewrite::Manifest* rap,
                          const instr::TracesManifest* traces)
     : program_(&program), decoded_(program.base(), program.bytes()) {
-  // Static successor map: resolve every direct / direct-call / conditional
-  // branch target once, so the replay hot loop never re-computes them.
-  targets_.assign(decoded_.slot_count(), 0);
-  for (size_t i = 0; i < targets_.size(); ++i) {
+  // Per-slot tables, so the replay hot loop never re-derives them: the
+  // static successor of every direct / direct-call / conditional branch,
+  // each slot's branch kind, and (filled back to front) the length of the
+  // straight-line run headed at each slot.
+  info_.assign(decoded_.slot_count(), {});
+  for (size_t i = info_.size(); i-- > 0;) {
     const Address pc = decoded_.base() + static_cast<Address>(i * 4);
     const auto& slot = decoded_.slot(pc);
     if (slot.kind != isa::SlotKind::Valid) continue;
-    switch (isa::branch_kind(slot.instr)) {
+    SlotInfo& info = info_[i];
+    info.kind = isa::branch_kind(slot.instr);
+    switch (info.kind) {
       case isa::BranchKind::Direct:
       case isa::BranchKind::DirectCall:
       case isa::BranchKind::Conditional:
-        targets_[i] = isa::branch_target(slot.instr, pc);
+        info.target = isa::branch_target(slot.instr, pc);
+        break;
+      case isa::BranchKind::None:
+        if (slot.instr.op != isa::Op::SVC) {
+          info.run = 1 + (i + 1 < info_.size() ? info_[i + 1].run : 0);
+        }
         break;
       default:
         break;
@@ -34,12 +43,16 @@ ReplayIndex::ReplayIndex(const Program& program, ReplayMode mode,
     mtbar_base_ = rap->mtbar_base;
     mtbar_limit_ = rap->mtbar_limit;
     slots_by_base_.reserve(rap->slots.size());
-    slot_by_site_.reserve(rap->slots.size());
+    site_slots_.assign(decoded_.slot_count(), nullptr);
     for (const auto& slot : rap->slots) {
       slots_by_base_.push_back(&slot);
-      // emplace keeps the first record per site — matching the linear
-      // first-match semantics of Manifest::slot_for_site.
-      slot_by_site_.emplace(slot.site, &slot);
+      // Keep the first record per site — the linear first-match semantics
+      // of Manifest::slot_for_site. A site outside the image is never a
+      // replayed pc, so it needs no entry.
+      if (decoded_.contains(slot.site) && slot.site % 4 == 0) {
+        auto& entry = site_slots_[(slot.site - decoded_.base()) >> 2];
+        if (entry == nullptr) entry = &slot;
+      }
     }
     std::sort(slots_by_base_.begin(), slots_by_base_.end(),
               [](const rewrite::SlotRecord* a, const rewrite::SlotRecord* b) {
@@ -73,11 +86,6 @@ const rewrite::SlotRecord* ReplayIndex::slot_containing(Address addr) const {
   if (it == slots_by_base_.begin()) return nullptr;
   const rewrite::SlotRecord* slot = *(it - 1);
   return addr < slot->slot_end ? slot : nullptr;
-}
-
-const rewrite::SlotRecord* ReplayIndex::slot_for_site(Address site) const {
-  const auto it = slot_by_site_.find(site);
-  return it != slot_by_site_.end() ? it->second : nullptr;
 }
 
 const rewrite::LoopVeneerRecord* ReplayIndex::rap_veneer_at_svc(

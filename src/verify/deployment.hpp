@@ -8,10 +8,11 @@
 // of that is hoisted here and computed exactly once:
 //
 //   * ReplayIndex — dense predecoded instruction array (reusing
-//     isa::DecodedImage), a per-instruction static branch-target table (the
-//     CFG successor map at instruction granularity), O(log n)/O(1) MTBAR
-//     slot and veneer lookups, and the slot→original-site reverse map the
-//     audit needs;
+//     isa::DecodedImage), per-instruction tables of the static branch
+//     target (the CFG successor map at instruction granularity), the branch
+//     kind, the straight-line run length and the RAP slot of a site,
+//     O(log n)/O(1) MTBAR slot and veneer lookups, and the
+//     slot→original-site reverse map the audit needs;
 //   * Deployment — an immutable, self-contained bundle of the expected
 //     program, its manifest, the expected H_MEM, and the ReplayIndex.
 //
@@ -65,16 +66,32 @@ class ReplayIndex {
   /// Static successor map: the precomputed taken-edge destination of the
   /// direct / conditional / direct-call instruction at `pc` (0 for every
   /// other instruction — those kinds always have a nonzero target here).
-  Address branch_target(Address pc) const {
-    return targets_[(pc - decoded_.base()) >> 2];
-  }
+  Address branch_target(Address pc) const { return info(pc).target; }
+
+  /// isa::branch_kind of the predecoded instruction at an aligned,
+  /// contained pc whose slot is Valid (None for any other slot).
+  isa::BranchKind branch_kind(Address pc) const { return info(pc).kind; }
+
+  /// Length of the straight-line run headed at an aligned, contained pc:
+  /// the number of consecutive Valid slots, starting here, whose
+  /// instruction neither transfers control (BranchKind::None) nor traps
+  /// (SVC). 0 when the slot at `pc` is not such an instruction. The
+  /// replayer applies a whole run to its valuation in one loop.
+  u32 straight_run(Address pc) const { return info(pc).run; }
 
   // -- RAP manifest lookups (indexed equivalents of rewrite::Manifest) ------
   bool in_mtbar(Address addr) const {
     return has_mtbar_ && addr >= mtbar_base_ && addr <= mtbar_limit_;
   }
   const rewrite::SlotRecord* slot_containing(Address addr) const;
-  const rewrite::SlotRecord* slot_for_site(Address site) const;
+  /// First manifest slot whose original site is `site` (the first-match
+  /// semantics of Manifest::slot_for_site), from a dense per-slot table.
+  const rewrite::SlotRecord* slot_for_site(Address site) const {
+    if (site_slots_.empty() || !decoded_.contains(site) || site % 4 != 0) {
+      return nullptr;
+    }
+    return site_slots_[(site - decoded_.base()) >> 2];
+  }
   const rewrite::LoopVeneerRecord* rap_veneer_at_svc(Address svc_addr) const;
 
   // -- TRACES manifest lookups ----------------------------------------------
@@ -89,15 +106,27 @@ class ReplayIndex {
   }
 
  private:
+  /// Per-slot facts the replay hot loop reads instead of re-deriving them.
+  struct SlotInfo {
+    Address target = 0;  ///< static branch target, or 0
+    u32 run = 0;         ///< straight-line run length headed here
+    isa::BranchKind kind = isa::BranchKind::None;
+  };
+
+  const SlotInfo& info(Address pc) const {
+    return info_[(pc - decoded_.base()) >> 2];
+  }
+
   const Program* program_;
   isa::DecodedImage decoded_;
-  std::vector<Address> targets_;  ///< per-slot static branch target (or 0)
+  std::vector<SlotInfo> info_;  ///< one per predecoded slot
 
   bool has_mtbar_ = false;
   Address mtbar_base_ = 0;
   Address mtbar_limit_ = 0;
   std::vector<const rewrite::SlotRecord*> slots_by_base_;  ///< sorted
-  std::unordered_map<Address, const rewrite::SlotRecord*> slot_by_site_;
+  /// Per-slot RAP slot record keyed by original site (RAP mode only).
+  std::vector<const rewrite::SlotRecord*> site_slots_;
   std::unordered_map<Address, const rewrite::LoopVeneerRecord*> rap_svc_;
   std::vector<const instr::VeneerRecord*> veneers_by_base_;  ///< sorted
   std::unordered_map<Address, const instr::VeneerRecord*> traces_svc_;

@@ -23,69 +23,81 @@ using trace::BranchPacket;
 
 namespace {
 
-/// Per-flag shadow state: each of NZCV is independently known or unknown.
-struct ShadowFlags {
-  std::optional<bool> n, z, c, v;
-
-  void set_all_unknown() { n = z = c = v = std::nullopt; }
-};
+// Shadow flag bits in MemoValuation::flags: the value of each of NZCV in
+// bits 0-3, whether it is known in bits 4-7.
+constexpr u8 kFlagN = 1, kFlagZ = 2, kFlagC = 4, kFlagV = 8;
 
 /// Evaluate a condition when the flags it needs are known.
-std::optional<bool> evaluate_shadow(Cond cond, const ShadowFlags& f) {
-  const auto need = [](std::optional<bool> flag) { return flag; };
+std::optional<bool> evaluate_shadow(Cond cond, u8 flags) {
+  const unsigned known = flags >> 4u;
+  const bool n = (flags & kFlagN) != 0;
+  const bool z = (flags & kFlagZ) != 0;
+  const bool c = (flags & kFlagC) != 0;
+  const bool v = (flags & kFlagV) != 0;
+  const auto need = [known](unsigned mask, bool value) -> std::optional<bool> {
+    if ((known & mask) != mask) return std::nullopt;
+    return value;
+  };
   switch (cond) {
-    case Cond::EQ: return need(f.z);
-    case Cond::NE: return f.z ? std::optional<bool>(!*f.z) : std::nullopt;
-    case Cond::CS: return need(f.c);
-    case Cond::CC: return f.c ? std::optional<bool>(!*f.c) : std::nullopt;
-    case Cond::MI: return need(f.n);
-    case Cond::PL: return f.n ? std::optional<bool>(!*f.n) : std::nullopt;
-    case Cond::VS: return need(f.v);
-    case Cond::VC: return f.v ? std::optional<bool>(!*f.v) : std::nullopt;
-    case Cond::HI:
-      if (f.c && f.z) return *f.c && !*f.z;
-      return std::nullopt;
-    case Cond::LS:
-      if (f.c && f.z) return !*f.c || *f.z;
-      return std::nullopt;
-    case Cond::GE:
-      if (f.n && f.v) return *f.n == *f.v;
-      return std::nullopt;
-    case Cond::LT:
-      if (f.n && f.v) return *f.n != *f.v;
-      return std::nullopt;
-    case Cond::GT:
-      if (f.z && f.n && f.v) return !*f.z && *f.n == *f.v;
-      return std::nullopt;
-    case Cond::LE:
-      if (f.z && f.n && f.v) return *f.z || *f.n != *f.v;
-      return std::nullopt;
+    case Cond::EQ: return need(kFlagZ, z);
+    case Cond::NE: return need(kFlagZ, !z);
+    case Cond::CS: return need(kFlagC, c);
+    case Cond::CC: return need(kFlagC, !c);
+    case Cond::MI: return need(kFlagN, n);
+    case Cond::PL: return need(kFlagN, !n);
+    case Cond::VS: return need(kFlagV, v);
+    case Cond::VC: return need(kFlagV, !v);
+    case Cond::HI: return need(kFlagC | kFlagZ, c && !z);
+    case Cond::LS: return need(kFlagC | kFlagZ, !c || z);
+    case Cond::GE: return need(kFlagN | kFlagV, n == v);
+    case Cond::LT: return need(kFlagN | kFlagV, n != v);
+    case Cond::GT: return need(kFlagZ | kFlagN | kFlagV, !z && n == v);
+    case Cond::LE: return need(kFlagZ | kFlagN | kFlagV, z || n != v);
     case Cond::AL: return true;
   }
   return std::nullopt;
 }
 
 /// Constant-propagating register valuation along the reconstructed path.
-struct Valuation {
-  std::array<std::optional<u32>, 16> regs{};
-  ShadowFlags flags;
-
+/// It has the memo cache's MemoValuation layout, unknown registers and flag
+/// values held at 0, so a memo snapshot of it is a plain copy.
+struct Valuation : MemoValuation {
   std::optional<u32> read(Reg r, Address pc) const {
     if (r == Reg::PC) return pc + 4;
-    return regs[isa::index(r)];
+    const unsigned i = isa::index(r);
+    if (((known >> i) & 1u) == 0) return std::nullopt;
+    return regs[i];
   }
 
   void write(Reg r, std::optional<u32> value) {
     if (r == Reg::PC) return;  // control flow handled by the replayer
-    regs[isa::index(r)] = value;
+    const unsigned i = isa::index(r);
+    const auto mask = static_cast<u16>(1u << i);
+    if (value) {
+      regs[i] = *value;
+      known |= mask;
+    } else {
+      regs[i] = 0;
+      known &= static_cast<u16>(~mask);
+    }
+  }
+
+  /// Make the flags in `mask` known, with the values of `values`.
+  void set_flags(u8 mask, u8 values) {
+    flags = static_cast<u8>((flags & ~(mask | (mask << 4))) |
+                            (values & mask) | (mask << 4));
+  }
+
+  void forget_flags(u8 mask) {
+    flags = static_cast<u8>(flags & ~(mask | (mask << 4)));
   }
 
   void set_nz(std::optional<u32> result) {
     if (result) {
-      flags.n = (*result >> 31) != 0;
-      flags.z = *result == 0;
+      set_flags(kFlagN | kFlagZ, static_cast<u8>((*result >> 31 ? kFlagN : 0) |
+                                                 (*result == 0 ? kFlagZ : 0)));
     } else {
-      flags.n = flags.z = std::nullopt;
+      forget_flags(kFlagN | kFlagZ);
     }
   }
 
@@ -94,10 +106,12 @@ struct Valuation {
       const u64 wide = static_cast<u64>(*a) + *b;
       const u32 result = static_cast<u32>(wide);
       set_nz(result);
-      flags.c = (wide >> 32) != 0;
-      flags.v = (~(*a ^ *b) & (*a ^ result) & 0x8000'0000u) != 0;
+      const bool c = (wide >> 32) != 0;
+      const bool v = (~(*a ^ *b) & (*a ^ result) & 0x8000'0000u) != 0;
+      set_flags(kFlagC | kFlagV,
+                static_cast<u8>((c ? kFlagC : 0) | (v ? kFlagV : 0)));
     } else {
-      flags.set_all_unknown();
+      forget_flags(kFlagN | kFlagZ | kFlagC | kFlagV);
     }
   }
 
@@ -105,10 +119,12 @@ struct Valuation {
     if (a && b) {
       const u32 result = *a - *b;
       set_nz(result);
-      flags.c = *a >= *b;
-      flags.v = ((*a ^ *b) & (*a ^ result) & 0x8000'0000u) != 0;
+      const bool c = *a >= *b;
+      const bool v = ((*a ^ *b) & (*a ^ result) & 0x8000'0000u) != 0;
+      set_flags(kFlagC | kFlagV,
+                static_cast<u8>((c ? kFlagC : 0) | (v ? kFlagV : 0)));
     } else {
-      flags.set_all_unknown();
+      forget_flags(kFlagN | kFlagZ | kFlagC | kFlagV);
     }
   }
 
@@ -199,7 +215,7 @@ struct Valuation {
         write(in.rd, result);
         if (in.set_flags) {
           set_nz(result);
-          flags.c = flags.v = std::nullopt;  // conservatively unknown
+          forget_flags(kFlagC | kFlagV);  // conservatively unknown
         }
         break;
       }
@@ -221,7 +237,7 @@ struct Valuation {
         write(in.rd, result);
         if (in.set_flags) {
           set_nz(result);
-          flags.c = flags.v = std::nullopt;
+          forget_flags(kFlagC | kFlagV);
         }
         break;
       }
@@ -234,7 +250,7 @@ struct Valuation {
       case Op::TST: case Op::TSTI: {
         const auto b = in.op == Op::TST ? rm() : imm();
         set_nz(binop(rn(), b, [](u32 x, u32 y) { return x & y; }));
-        flags.c = flags.v = std::nullopt;
+        forget_flags(kFlagC | kFlagV);
         break;
       }
       case Op::LDR: case Op::LDRB: case Op::LDRH: case Op::LDRR:
@@ -244,8 +260,8 @@ struct Valuation {
       case Op::PUSH:
         break;  // stores do not affect register state
       case Op::POP:
-        for (unsigned i = 0; i < 13; ++i) {
-          if (bit(in.reg_list, i)) regs[i] = std::nullopt;
+        for (u8 i = 0; i < 13; ++i) {
+          if (bit(in.reg_list, i)) write(isa::reg_from_index(i), std::nullopt);
         }
         break;
       default:
@@ -253,43 +269,6 @@ struct Valuation {
     }
   }
 };
-
-/// Pack the engine valuation into the memo cache's fixed-size snapshot.
-MemoValuation pack_valuation(const Valuation& val) {
-  MemoValuation out;
-  for (size_t i = 0; i < out.regs.size(); ++i) {
-    if (val.regs[i]) {
-      out.regs[i] = *val.regs[i];
-      out.known |= static_cast<u16>(u16{1} << i);
-    }
-  }
-  const auto pack_flag = [&out](const std::optional<bool>& flag, unsigned bit) {
-    if (flag) {
-      out.flags |= static_cast<u8>(u8{1} << (bit + 4));
-      if (*flag) out.flags |= static_cast<u8>(u8{1} << bit);
-    }
-  };
-  pack_flag(val.flags.n, 0);
-  pack_flag(val.flags.z, 1);
-  pack_flag(val.flags.c, 2);
-  pack_flag(val.flags.v, 3);
-  return out;
-}
-
-void unpack_valuation(const MemoValuation& in, Valuation& val) {
-  for (size_t i = 0; i < in.regs.size(); ++i) {
-    val.regs[i] = (in.known >> i) & 1 ? std::optional<u32>(in.regs[i])
-                                      : std::nullopt;
-  }
-  const auto unpack_flag = [&in](unsigned bit) -> std::optional<bool> {
-    if (((in.flags >> (bit + 4)) & 1) == 0) return std::nullopt;
-    return ((in.flags >> bit) & 1) != 0;
-  };
-  val.flags.n = unpack_flag(0);
-  val.flags.z = unpack_flag(1);
-  val.flags.c = unpack_flag(2);
-  val.flags.v = unpack_flag(3);
-}
 
 u64 memo_key(Address pc, const MemoValuation& val, u64 policy_hash) {
   u64 h = pc * 0x9e3779b97f4a7c15ull;
@@ -422,8 +401,9 @@ class ReplayEngine {
   }
 
   /// Did any explored path raise an attack finding? Strictness changes
-  /// nothing else about a run without the frontier (the only other state
-  /// keyed on it), so a finding-free run is what the other pass would do.
+  /// nothing else about a run the frontier did not steer (frontier entries
+  /// are the only other state keyed on it), so a finding-free run is what
+  /// the other pass would do.
   bool saw_finding() const { return saw_finding_; }
 
  private:
@@ -625,7 +605,7 @@ class ReplayEngine {
   FrontierEntry frontier_guards() const {
     FrontierEntry e;
     e.pc = pc_;
-    e.val = pack_valuation(val_);
+    e.val = val_;
     e.policy_hash = policy_hash_;
     e.strict = strict_;
     u64 sh = 0x9216d5d98979fb1bull;
@@ -689,14 +669,14 @@ class ReplayEngine {
     mix(loop_cursor_);
     mix(shadow_stack_.size());
     for (const Address a : shadow_stack_) mix(a);
-    for (const auto& reg : val_.regs) mix(reg ? u64{*reg} | (1ull << 32) : 0);
-    const auto mix_flag = [&](const std::optional<bool>& f) {
-      mix(f ? (*f ? 2u : 1u) : 0u);
-    };
-    mix_flag(val_.flags.n);
-    mix_flag(val_.flags.z);
-    mix_flag(val_.flags.c);
-    mix_flag(val_.flags.v);
+    for (unsigned i = 0; i < val_.regs.size(); ++i) {
+      mix((val_.known >> i) & 1u ? u64{val_.regs[i]} | (1ull << 32) : 0);
+    }
+    for (unsigned flag = 0; flag < 4; ++flag) {
+      const bool known = ((val_.flags >> (flag + 4)) & 1u) != 0;
+      const bool value = ((val_.flags >> flag) & 1u) != 0;
+      mix(known ? (value ? 2u : 1u) : 0u);
+    }
     return h;
   }
 
@@ -1082,10 +1062,11 @@ class ReplayEngine {
   }
 
   // -- memo engine ----------------------------------------------------------
-  // Called once per run()-loop iteration, before the step executes. Closes
-  // a full recording window, splices any stored segments that apply at the
-  // current state, and (re-)anchors recording. All memoization flows through
-  // here; the step itself only feeds the recording via the hooks above.
+  // Called once per run()-loop iteration, before the step (or straight-line
+  // run) executes. Closes a full recording window, splices any stored
+  // segments that apply at the current state, and (re-)anchors recording.
+  // All memoization flows through here; the step itself only feeds the
+  // recording via the hooks above.
 
   /// The loop stream this mode consumes (RAP SVC values or TRACES
   /// loop-condition values — disjoint, so one slice covers both).
@@ -1137,7 +1118,7 @@ class ReplayEngine {
   void memo_begin() {
     rec_.active = true;
     rec_.entry_pc = pc_;
-    rec_.entry_val = pack_valuation(val_);
+    rec_.entry_val = val_;
     rec_.entry_packets = packet_cursor_;
     rec_.entry_loops = loop_cursor_;
     rec_.entry_bits = bit_cursor_;
@@ -1226,7 +1207,7 @@ class ReplayEngine {
     if (rec_.have_eos && rec_.eos_rel == n_packets) seg->eos_observed = true;
     seg->halted = halted;
     seg->exit_pc = pc_;
-    seg->exit_val = pack_valuation(val_);
+    seg->exit_val = val_;
     seg->pushed.assign(shadow_stack_.begin() + rec_.min_stack,
                        shadow_stack_.end());
     seg->events.assign(result_.events.begin() + rec_.entry_events,
@@ -1373,7 +1354,7 @@ class ReplayEngine {
     loop_cursor_ += seg.loop_values.size();
     bit_cursor_ += seg.direction_bits.size();
     target_cursor_ += seg.indirect_targets.size();
-    unpack_valuation(seg.exit_val, val_);
+    static_cast<MemoValuation&>(val_) = seg.exit_val;
     pc_ = seg.exit_pc;
     result_.steps += seg.steps;
     result_.index_hits += seg.index_hits;
@@ -1382,7 +1363,7 @@ class ReplayEngine {
   }
 
   bool memo_try_apply() {
-    const MemoValuation here = pack_valuation(val_);
+    const MemoValuation& here = val_;
     const u64 key = memo_key(pc_, here, policy_hash_);
     MemoCache::Handle candidates[MemoCache::kLookupWidth];
     const size_t count =
@@ -1405,8 +1386,38 @@ class ReplayEngine {
     return false;
   }
 
-  /// Execute one instruction of the walk. Returns true when the program
-  /// halted cleanly.
+  /// Length of the straight-line run (ReplayIndex::straight_run) to apply
+  /// at pc_ in one go, or 0 when pc_ does not head one. The run is capped
+  /// at the step budget, and, while no segment is recording, at the step
+  /// where memo_tick would next try to anchor. Every memo_tick the run
+  /// skips is then a no-op: a recording window only closes on a consumed
+  /// packet, and a straight-line instruction consumes no evidence. So memo
+  /// anchors, splices, checkpoints and budget exhaustion all land on the
+  /// same instructions as a walk one step at a time.
+  u64 straight_run_here() const {
+    if (pc_ % 4 != 0 || !index_.contains(pc_)) return 0;
+    u64 n = std::min<u64>(index_.straight_run(pc_),
+                          max_steps_ - result_.steps);
+    if (n > 1 && memo_ != nullptr && !rec_.active) {
+      n = memo_resume_step_ > result_.steps
+              ? std::min(n, memo_resume_step_ - result_.steps)
+              : 1;
+    }
+    return n;
+  }
+
+  /// Apply a straight-line run of `n` predecoded instructions to the
+  /// valuation: `n` steps, each served from the index.
+  void walk_straight_line(u64 n) {
+    for (u64 i = 0; i < n; ++i, pc_ += 4) {
+      val_.apply(*index_.instruction_at(pc_), pc_);
+    }
+    result_.steps += n;
+    result_.index_hits += n;
+  }
+
+  /// Execute one branch, SVC, HLT or undecoded-word instruction of the
+  /// walk. Returns true when the program halted cleanly.
   bool step();
 };
 
@@ -1427,13 +1438,14 @@ bool ReplayEngine::step() {
     }
     fallback = *decoded;
   }
-  const Instruction in = cached != nullptr ? *cached : fallback;
+  const Instruction& in = cached != nullptr ? *cached : fallback;
+  const BranchKind kind = cached != nullptr ? index_.branch_kind(pc_)
+                                            : isa::branch_kind(in);
   if (cached != nullptr) {
     ++result_.index_hits;
   } else {
     ++result_.index_fallbacks;
   }
-  const BranchKind kind = isa::branch_kind(in);
   // Static branch destination: from the precomputed successor map on the
   // cached path, recomputed only on the rare fallback path.
   const auto static_target = [&]() -> Address {
@@ -1490,6 +1502,8 @@ bool ReplayEngine::step() {
           break;
         }
       } else {
+        // Only a word the index did not predecode gets here: straight-line
+        // runs of predecoded words go through walk_straight_line.
         val_.apply(in, pc_);
       }
       pc_ += 4;
@@ -1604,8 +1618,12 @@ ReplayResult ReplayEngine::run() {
         result_.complete = true;
         result_.backtracks = backtracks_;
         commit_journal();
-        return result_;
+        return std::move(result_);
       }
+    }
+    if (const u64 run = straight_run_here(); run != 0) {
+      walk_straight_line(run);
+      continue;
     }
     pre_step_steps_ = result_.steps;
     pre_step_index_hits_ = result_.index_hits;
@@ -1617,7 +1635,7 @@ ReplayResult ReplayEngine::run() {
       result_.complete = true;
       result_.backtracks = backtracks_;
       commit_journal();
-      return result_;
+      return std::move(result_);
     }
     if (!pending_failure_.empty() && !backtrack()) break;
   }
@@ -1628,7 +1646,7 @@ ReplayResult ReplayEngine::run() {
   result_.failure = pending_failure_;
   result_.complete = false;
   result_.backtracks = backtracks_;
-  return result_;
+  return std::move(result_);
 }
 
 }  // namespace
@@ -1670,7 +1688,8 @@ ReplayResult PathReplayer::replay(const ReplayInputs& inputs, u64 max_steps) {
   // failure byte-for-byte. Completing passes never pay this; the sub-path
   // memo stays attached throughout (its on/off equivalence is
   // unconditional). `saw_finding` records whether the engine whose result
-  // the pass returns met a finding.
+  // the pass returns met a finding; that engine was never steered by the
+  // frontier (see below).
   bool saw_finding = false;
   const auto run_pass = [&](bool strict) {
     // Every engine made here runs exactly once, so counting at creation
@@ -1696,22 +1715,25 @@ ReplayResult PathReplayer::replay(const ReplayInputs& inputs, u64 max_steps) {
     ReplayResult result = search.run();
     saw_finding = search.saw_finding();
     if (!result.complete && search.frontier_influenced()) {
-      // Only with the frontier on, where `saw_finding` is not consulted.
-      result = make_engine(/*use_frontier=*/false, /*greedy=*/false).run();
+      ReplayEngine detached = make_engine(/*use_frontier=*/false,
+                                          /*greedy=*/false);
+      result = detached.run();
+      saw_finding = detached.saw_finding();
     }
     return result;
   };
   // Pass 1 (strict): search for a finding-free parse — a benign execution
   // consistent with the evidence. Only when none exists does the lenient
   // pass attribute findings (the verifier accuses only when every parse of
-  // the evidence is malicious). A failed strict pass that met no finding
-  // with the frontier off is already the lenient pass's result: the
-  // lenient engines would retrace it step for step.
+  // the evidence is malicious). A failed strict pass that met no finding is
+  // already the lenient pass's result, with or without the frontier. The
+  // failing strict result always comes from an engine the frontier did not
+  // steer (a greedy pass that is final, an uninfluenced search, or the
+  // detached rerun), and such an engine explores exactly what the memo-off
+  // engine explores. Strictness changes nothing on a finding-free
+  // exploration, so the lenient engines would retrace it step for step.
   ReplayResult strict_result = run_pass(/*strict=*/true);
-  const bool frontier_off = memo_ == nullptr || !use_frontier_;
-  if (strict_result.complete || (frontier_off && !saw_finding)) {
-    return strict_result;
-  }
+  if (strict_result.complete || !saw_finding) return strict_result;
   return run_pass(/*strict=*/false);
 }
 

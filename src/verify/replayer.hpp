@@ -1,6 +1,7 @@
 // Lossless control-flow path reconstruction (the Verifier-side core of CFA).
 //
-// The replayer walks the deployed binary instruction by instruction,
+// The replayer walks the deployed binary, one straight-line run of
+// instructions at a time and then one control-flow instruction at a time,
 // re-deriving every control-flow decision from three sources:
 //   1. static knowledge  — direct branches/calls and, via a constant-
 //      propagating shadow valuation, the "statically deterministic" simple

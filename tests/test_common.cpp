@@ -1,7 +1,12 @@
-// Unit tests: bit utilities, checked narrowing, RNG determinism, hex format.
+// Unit tests: bit utilities, checked narrowing, RNG determinism, hex format,
+// CRC-32.
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "common/bits.hpp"
+#include "common/crc32.hpp"
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -103,6 +108,44 @@ TEST(Hex, Format32) {
 TEST(Hex, Digest) {
   const u8 bytes[] = {0xde, 0xad, 0x00};
   EXPECT_EQ(hex_digest(bytes), "dead00");
+}
+
+// Bit-at-a-time CRC-32 (reflected, polynomial 0xEDB88320): the definition
+// the table-driven implementation must reproduce.
+u32 crc32_bitwise(std::span<const u8> bytes) {
+  u32 crc = 0xffff'ffffu;
+  for (const u8 byte : bytes) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0xedb8'8320u : crc >> 1;
+    }
+  }
+  return crc ^ 0xffff'ffffu;
+}
+
+TEST(Crc32, CheckValue) {
+  const std::string_view check = "123456789";
+  const std::span<const u8> bytes(reinterpret_cast<const u8*>(check.data()),
+                                  check.size());
+  EXPECT_EQ(crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOverRandomLengths) {
+  Xoshiro256 rng(0xc3c32);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<u8> data(rng.next_below(301));
+    for (u8& byte : data) byte = static_cast<u8>(rng.next());
+    EXPECT_EQ(crc32(data), crc32_bitwise(data)) << "length " << data.size();
+    // Streaming in two chunks at a random split gives the same value.
+    const size_t split = rng.next_below(data.size() + 1);
+    const std::span<const u8> all(data);
+    u32 state = crc32_init();
+    state = crc32_update(state, all.first(split));
+    state = crc32_update(state, all.subspan(split));
+    EXPECT_EQ(crc32_final(state), crc32_bitwise(data))
+        << "length " << data.size() << ", split " << split;
+  }
 }
 
 }  // namespace

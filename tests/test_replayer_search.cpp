@@ -1,16 +1,24 @@
 // Focused tests for the Verifier's parse search: the silent-rejoin
 // attribution ambiguity, the benign-first two-pass semantics, the
 // direction-selection analysis in the rewriter that keeps recursion
-// parseable, and the checker mode (scripted replay).
+// parseable, the checker mode (scripted replay), and the straight-line
+// block walk over the ReplayIndex's per-slot tables.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "apps/runner.hpp"
 #include "asm/assembler.hpp"
 #include "cfa/provers.hpp"
+#include "common/hex.hpp"
+#include "fuzz_programs.hpp"
 #include "gen_corpus.hpp"
 #include "obs/metrics.hpp"
 #include "rewrite/rap_rewriter.hpp"
 #include "sim/machine.hpp"
+#include "verify/deployment.hpp"
 #include "verify/replayer.hpp"
+#include "verify/verifier.hpp"
 
 namespace raptrack::verify {
 namespace {
@@ -367,6 +375,226 @@ TEST(ReplaySearch, GeneratedCorpusSamplesStayLossless) {
       EXPECT_EQ(checked.events, run.oracle) << name;
     }
   }
+}
+
+// -- per-slot tables and the block walk ---------------------------------------
+
+/// Recompute every per-slot table of `index` the slow way, from the
+/// authoritative per-word decoder and the manifest's linear lookups.
+void expect_slot_tables_match(const ReplayIndex& index, const Program& program,
+                              const rewrite::Manifest* rap,
+                              const std::string& name) {
+  const auto straight = [&](Address pc) {
+    if (!program.contains(pc) || pc + 4 > program.end()) return false;
+    const auto in = program.instruction_at(pc);
+    return in && isa::branch_kind(*in) == isa::BranchKind::None &&
+           in->op != isa::Op::SVC;
+  };
+  size_t runs = 0;
+  for (Address pc = program.base(); pc + 4 <= program.end(); pc += 4) {
+    SCOPED_TRACE(name + " @ " + hex32(pc));
+    const auto in = program.instruction_at(pc);
+    ASSERT_EQ(index.instruction_at(pc) != nullptr, in.has_value());
+    if (in) {
+      EXPECT_EQ(index.branch_kind(pc), isa::branch_kind(*in));
+    }
+    u32 run = 0;
+    while (straight(pc + 4 * run)) ++run;
+    EXPECT_EQ(index.straight_run(pc), run);
+    if (run > 1) ++runs;
+    if (rap != nullptr) {
+      EXPECT_EQ(index.slot_for_site(pc), rap->slot_for_site(pc));
+    }
+  }
+  EXPECT_GT(runs, 0u) << name << ": no straight-line run to check";
+}
+
+TEST(ReplayIndexTables, MatchNaiveRecomputation) {
+  for (const auto& app : apps::app_registry()) {
+    const apps::PreparedApp p = apps::prepare_app(app);
+    expect_slot_tables_match(
+        ReplayIndex(p.built.program, ReplayMode::Naive, nullptr, nullptr),
+        p.built.program, nullptr, app.name + "/naive");
+    expect_slot_tables_match(
+        ReplayIndex(p.rap.program, ReplayMode::Rap, &p.rap.manifest, nullptr),
+        p.rap.program, &p.rap.manifest, app.name + "/rap");
+    expect_slot_tables_match(ReplayIndex(p.traces.program, ReplayMode::Traces,
+                                         nullptr, &p.traces.manifest),
+                             p.traces.program, nullptr, app.name + "/traces");
+  }
+  for (u64 seed = 1; seed <= 64; ++seed) {
+    const Program program = testing::fuzz_program(seed);
+    expect_slot_tables_match(
+        ReplayIndex(program, ReplayMode::Naive, nullptr, nullptr), program,
+        nullptr, "fuzz " + std::to_string(seed));
+  }
+}
+
+/// One registry-app chain in `mode`, verified once to obtain its decoded
+/// evidence and clean step count.
+struct ModeChain {
+  std::shared_ptr<const Deployment> deployment;
+  ReplayInputs inputs;
+  u64 steps = 0;
+};
+
+ModeChain verified_chain(const apps::PreparedApp& p, ReplayMode mode) {
+  constexpr u32 kWatermark = 256;
+  const sim::MachineConfig machine{.mtb_buffer_bytes = 512};
+  const cfa::SessionOptions session{.watermark_bytes = kWatermark};
+  const cfa::Challenge chal{};
+  ModeChain out;
+  apps::MethodRun run;
+  switch (mode) {
+    case ReplayMode::Naive:
+      run = apps::run_naive(p, 3, machine, session, chal);
+      out.deployment = Deployment::naive(p.built.program, p.built.entry);
+      break;
+    case ReplayMode::Traces:
+      run = apps::run_traces(p, 3, machine, session, chal);
+      out.deployment = Deployment::traces(p.traces.program, p.traces.manifest,
+                                          p.built.entry);
+      break;
+    case ReplayMode::Rap:
+      run = apps::run_rap(p, 3, machine, session, chal);
+      out.deployment =
+          Deployment::rap(p.rap.program, p.rap.manifest, p.built.entry);
+      break;
+  }
+  Verifier verifier(apps::demo_key());
+  verifier.expect(out.deployment);
+  verifier.set_expected_watermark(kWatermark);
+  verifier.adopt_challenge(chal);
+  VerificationResult result = verifier.verify(chal, run.attestation.reports);
+  EXPECT_TRUE(result.accepted()) << result.detail;
+  out.inputs = std::move(result.inputs);
+  out.steps = result.replay.steps;
+  return out;
+}
+
+// The block walk charges steps one instruction at a time: a replay whose
+// budget is one step short of the clean chain's count stops on exactly that
+// budget, in every mode, with the memo on (warm) and off.
+TEST(ReplayBlockWalk, StepBudgetIsInstructionGranular) {
+  const apps::PreparedApp p = apps::prepare_app(apps::app_by_name("gps"));
+  for (const ReplayMode mode :
+       {ReplayMode::Rap, ReplayMode::Naive, ReplayMode::Traces}) {
+    const ModeChain chain = verified_chain(p, mode);
+    ASSERT_GT(chain.steps, 16u);
+    for (const bool memo : {false, true}) {
+      for (u64 budget = chain.steps - 16; budget <= chain.steps + 1;
+           ++budget) {
+        SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+                     (memo ? " memo" : " plain") + ", budget " +
+                     std::to_string(budget) + " of " +
+                     std::to_string(chain.steps));
+        PathReplayer replayer(*chain.deployment);
+        if (memo && kMemoEnabled) {
+          replayer.set_memo(&chain.deployment->memo());
+        }
+        const ReplayResult result = replayer.replay(chain.inputs, budget);
+        if (budget >= chain.steps) {
+          EXPECT_TRUE(result.complete) << result.failure;
+          EXPECT_EQ(result.steps, chain.steps);
+        } else {
+          EXPECT_FALSE(result.complete);
+          EXPECT_EQ(result.failure, "replay step budget exceeded");
+          EXPECT_EQ(result.steps, budget);
+        }
+      }
+    }
+  }
+}
+
+u64 engines_created(const obs::Snapshot& after, const obs::Snapshot& before) {
+  return after.value("verify.replay.greedy_passes") -
+         before.value("verify.replay.greedy_passes") +
+         after.value("verify.replay.search_passes") -
+         before.value("verify.replay.search_passes");
+}
+
+// A damaged chain (its final report lost) whose strict pass fails without a
+// finding is final with the frontier on too: no lenient pass runs, so a cold
+// replay creates at most the strict greedy and search engines, and the
+// verification stays byte-identical to the memo-off one. On this chain the
+// greedy parse of the prefix fails at an ambiguous site, so the strict
+// search does run.
+TEST(ReplayPasses, FindingFreeStrictFailureIsFinalWithFrontier) {
+  if (!obs::kEnabled) GTEST_SKIP() << "RAP_OBS=OFF build";
+  constexpr u32 kWatermark = 128;
+  const apps::PreparedApp p = apps::prepare_app(apps::app_by_name("syringe"));
+  const cfa::Challenge chal{};
+  const apps::MethodRun run =
+      apps::run_rap(p, 1, sim::MachineConfig{.mtb_buffer_bytes = 256},
+                    cfa::SessionOptions{.watermark_bytes = kWatermark}, chal);
+  std::vector<cfa::SignedReport> chain = run.attestation.reports;
+  ASSERT_GE(chain.size(), 2u);
+  chain.pop_back();
+
+  const auto verify_with = [&](bool memo) {
+    Verifier verifier(apps::demo_key());
+    verifier.expect(
+        Deployment::rap(p.rap.program, p.rap.manifest, p.built.entry));
+    verifier.set_expected_watermark(kWatermark);
+    verifier.set_memo(memo);
+    verifier.set_frontier(memo);
+    verifier.adopt_challenge(chal);
+    return verifier.verify(chal, chain);
+  };
+  const VerificationResult plain = verify_with(false);
+  ASSERT_EQ(plain.verdict, Verdict::Inconclusive) << plain.detail;
+  ASSERT_FALSE(plain.replay.complete);
+  ASSERT_TRUE(plain.replay.findings.empty());
+  const obs::Snapshot before = obs::registry().scrape();
+  const VerificationResult memo = verify_with(true);
+  const obs::Snapshot after = obs::registry().scrape();
+  EXPECT_EQ(after.value("verify.replay.search_passes") -
+                before.value("verify.replay.search_passes"),
+            1u);
+  EXPECT_LE(engines_created(after, before), 2u);
+  EXPECT_EQ(hex_digest(verification_digest(memo)),
+            hex_digest(verification_digest(plain)));
+}
+
+// A strict pass that meets a finding is not final: the lenient pass runs and
+// reports the finding, also when the evidence then runs out.
+TEST(ReplayPasses, StrictFailureWithFindingStillRunsLenientPass) {
+  if (!obs::kEnabled) GTEST_SKIP() << "RAP_OBS=OFF build";
+  const Built b = build(R"(
+_start:
+    bl fn
+    bl fn
+    hlt
+gadget:
+    bl fn
+    hlt
+fn:
+    push {r4, lr}
+    pop {r4, pc}
+__code_end:
+  )");
+  RapRun run = run_rap(b);
+  ASSERT_EQ(run.inputs.packets.size(), 2u);
+  run.inputs.packets[0].destination = *b.program.symbol("gadget");
+  run.inputs.packets.resize(1);  // the gadget's own return finds no packet
+
+  const auto deployment =
+      Deployment::rap(run.rewritten.program, run.rewritten.manifest, b.entry);
+  PathReplayer replayer(*deployment);
+  if (kMemoEnabled) replayer.set_memo(&deployment->memo());
+  const obs::Snapshot before = obs::registry().scrape();
+  const ReplayResult result = replayer.replay(run.inputs);
+  const obs::Snapshot after = obs::registry().scrape();
+  EXPECT_FALSE(result.complete);
+  EXPECT_NE(result.failure.find("CF_Log exhausted"), std::string::npos)
+      << result.failure;
+  ASSERT_FALSE(result.findings.empty());
+  EXPECT_NE(result.findings[0].description.find("ROP"), std::string::npos);
+  // Strict greedy, then lenient greedy: both final, no search.
+  EXPECT_EQ(after.value("verify.replay.greedy_passes") -
+                before.value("verify.replay.greedy_passes"),
+            2u);
+  EXPECT_EQ(engines_created(after, before), 2u);
 }
 
 }  // namespace
